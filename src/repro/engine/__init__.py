@@ -17,14 +17,15 @@ systems argue for) and gives every domain one substrate:
     f-counting) plus ``f-rate`` — and the single-word :func:`decide`.
 ``engine.batch``
     :func:`decide_many` (chunked, seeded, deterministically-ordered
-    process-pool fan-out) and the compiled-acceptor LRU
-    (:func:`cached_acceptor`, :func:`compiled_tba`).
+    fan-out with no retries and no deadline) and the compiled-acceptor
+    LRU (:func:`cached_acceptor`, :func:`compiled_tba`).
 ``engine.resilience``
-    The fault-tolerant fan-out: :func:`decide_many_resilient` survives
-    killed workers (chunk retries with capped backoff and splitting),
-    enforces a per-batch wall-clock deadline budget, and degrades
-    gracefully (serial fallback, cheaper-strategy fallback) with
-    explicit evidence markers — see ``docs/architecture.md``'s
+    The one chunk scheduler behind both batch calls, and the
+    fault-tolerant entry point on it: :func:`decide_many_resilient`
+    survives killed workers (chunk retries with capped backoff and
+    splitting), enforces a per-batch wall-clock deadline budget, and
+    degrades gracefully (serial fallback, cheaper-strategy fallback)
+    with explicit evidence markers — see ``docs/architecture.md``'s
     "Failure model & recovery".
 ``engine.faults``
     Reproducible fault injection (process-killing, exception-raising,

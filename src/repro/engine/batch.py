@@ -2,32 +2,25 @@
 
 ``decide_many`` is the production entry point the ROADMAP's batching
 direction calls for: judge a whole sweep of words against one acceptor,
-optionally across a process pool, with three guarantees:
+optionally across worker processes, with three guarantees:
 
 * **Deterministic order** — reports come back in word order regardless
   of worker count or chunking;
 * **Bit-identical to serial** — every run builds a fresh
   :class:`~repro.kernel.simulator.Simulator`, so a word's report is a
   pure function of (acceptor, word, horizon, strategy, seed) and the
-  pooled path returns exactly what the serial path would;
+  pooled paths return exactly what the serial path would;
 * **Seeded** — each word's report carries ``evidence["seed"] =
   seed + index``, so sampled strategies stay reproducible under any
   fan-out.
 
-The pool uses the ``fork`` start method (Linux; the CI smoke job pins
-it): the parent publishes the job in a token-keyed registry before
-forking, so acceptors and words — which close over arbitrary generator
-programs and are therefore unpicklable — are inherited by memory copy
-and never serialized.  Only ``(token, lo, hi)`` chunk descriptors
-travel to the children and only plain
-:class:`~repro.engine.verdict.DecisionReport` lists travel back.  The
-token makes the hand-off reentrant: concurrent ``decide_many`` calls
-(from threads, or nested inside an acceptor) each fork against their
-own registry entry.  The fault-tolerant variant of this fan-out —
-worker-death retries, deadline budgets, graceful degradation — lives in
-:mod:`repro.engine.resilience` on the same chunk protocol.
-Where ``fork`` is unavailable (or ``workers <= 1``) the call degrades
-to the serial loop, results unchanged.
+The fan-out itself is the chunk scheduler of
+:mod:`repro.engine.resilience`, run with no retries and no deadline: a
+chunk that fails in a worker — an exception, or a worker killed
+mid-chunk — is judged again in the parent under the same strategy, and
+an exception that nothing rescues reaches the caller.
+``decide_many_resilient`` runs the same scheduler with its retry,
+deadline and degrade policies.
 
 The second half of the module is the compiled-acceptor LRU: building an
 acceptor is often far more expensive than one decision (notably the
@@ -40,15 +33,11 @@ specialization.
 
 from __future__ import annotations
 
-import itertools
-import math
-import multiprocessing
-import threading
 from collections import OrderedDict
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 
 from ..obs import hooks as _obs
-from .strategies import DEFAULT_HORIZON, DecisionStrategy, get_strategy
+from .strategies import DEFAULT_HORIZON, DecisionStrategy
 from .verdict import DecisionReport
 
 __all__ = [
@@ -59,30 +48,10 @@ __all__ = [
     "clear_caches",
 ]
 
-#: In-flight pooled jobs, keyed by a per-call token:
-#: token -> (acceptor, words, horizon, strategy, seed).  The parent
-#: registers its job under a fresh token immediately before forking and
-#: the children look it up by the token travelling with each chunk, so
-#: two concurrent ``decide_many`` calls (threads, or a decision nested
-#: inside an acceptor) can never clobber each other's hand-off.
-_JOBS: Dict[int, Tuple[Any, Sequence[Any], int, DecisionStrategy, int]] = {}
-_JOBS_LOCK = threading.Lock()
-_JOB_TOKENS = itertools.count()
-
-
-def _register_job(
-    job: Tuple[Any, Sequence[Any], int, DecisionStrategy, int]
-) -> int:
-    """Claim a token and publish ``job`` for children forked after now."""
-    with _JOBS_LOCK:
-        token = next(_JOB_TOKENS)
-        _JOBS[token] = job
-    return token
-
-
-def _release_job(token: int) -> None:
-    with _JOBS_LOCK:
-        _JOBS.pop(token, None)
+#: Entries a warm language table keeps: the default size of an
+#: :class:`AcceptorCache`, and the bound on each shard decide worker's
+#: installed languages (:mod:`repro.shard.pool`).
+CACHE_SIZE = 128
 
 
 def _decide_one(
@@ -103,47 +72,6 @@ def _decide_one(
     return report
 
 
-def _run_chunk(task: Tuple[int, int, int]) -> List[DecisionReport]:
-    """Pool worker: judge one contiguous index range of the tokened job."""
-    token, lo, hi = task
-    acceptor, words, horizon, strategy, seed = _JOBS[token]
-    return [
-        _decide_one(acceptor, words[i], horizon, strategy, seed, i)
-        for i in range(lo, hi)
-    ]
-
-
-def _run_chunk_metered(
-    task: Tuple[int, int, int]
-) -> Tuple[List[DecisionReport], Optional[List[Dict[str, Any]]]]:
-    """:func:`_run_chunk` under fresh child instrumentation.
-
-    A forked pool worker inherits the parent's hooks by memory *copy*:
-    anything it counts is invisible to the parent and dies with the
-    process.  When hooks were installed at fork time, the chunk runs
-    under a fresh registry instead and its full dump rides back with
-    the reports for the parent to merge — so ``engine.*`` / ``kernel.*``
-    counts match the serial path exactly (pinned by
-    ``tests/test_shard_metrics.py``).
-    """
-    from ..obs import hooks as _hooks
-
-    if _hooks.HOOKS is None:
-        return _run_chunk(task), None
-    with _hooks.instrumented() as inst:
-        reports = _run_chunk(task)
-    return reports, inst.registry.dump()
-
-
-#: Auto-backend heuristic floor: below ``max(this, 8 * workers)`` words
-#: a forked pool's startup cost dominates the work, so ``backend="auto"``
-#: routes ``workers > 1`` calls to the serial path (recorded in
-#: ``engine.backend_fallbacks{reason="small-batch"}``).
-MIN_POOL_WORDS = 64
-
-BACKENDS = ("auto", "serial", "fork", "shards")
-
-
 def decide_many(
     acceptor: Any,
     words: Sequence[Any],
@@ -155,148 +83,41 @@ def decide_many(
     seed: int = 0,
     backend: str = "auto",
 ) -> List[DecisionReport]:
-    """Judge every word in ``words``, optionally across a process pool.
+    """Judge every word in ``words``, optionally across worker processes.
 
     Returns one report per word, in word order, bit-identical across
     backends.  ``backend`` selects the fan-out:
 
     * ``"serial"`` — the in-process loop;
-    * ``"fork"`` — the fork-per-batch pool (job inherited by memory
+    * ``"fork"`` — one forked child per chunk (job inherited by memory
       copy, so unpicklable acceptors work);
     * ``"shards"`` — the persistent shard pool of :mod:`repro.shard`
       (warm compiled acceptors across calls; requires a picklable
-      acceptor, and falls back with a recorded reason otherwise);
+      acceptor, and falls back to fork with a recorded reason
+      otherwise);
     * ``"auto"`` (default) — serial for small batches where a pool
       would lose, otherwise shards when the shared pool is already
       warm, else fork.
 
     Every routing-away-from-a-pool decision is counted in
-    ``engine.backend_fallbacks{reason=...}``.
+    ``engine.backend_fallbacks{reason=...}``; a chunk rescued in the
+    parent is counted in ``engine.degraded{mode="serial-fallback"}``.
     """
-    if workers < 1:
-        raise ValueError(
-            f"workers must be >= 1, got {workers} (use workers=1 for the "
-            "serial path)"
-        )
-    if chunk_size is not None and chunk_size < 1:
-        raise ValueError(
-            f"chunk_size must be >= 1 or None for automatic sizing, got "
-            f"{chunk_size}"
-        )
-    if backend not in BACKENDS:
-        raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
-    words = list(words)
-    strat = get_strategy(strategy)
-    n = len(words)
-    # A raw TBA is accepted on every backend: shard workers receive it
-    # as-is (and compile it into their own warm cache); local judging
-    # goes through the same cached compilation here.
-    from ..automata.timed import TimedBuchiAutomaton
+    from .resilience import _NO_RETRY, _judge_batch
 
-    shippable = acceptor
-    if isinstance(acceptor, TimedBuchiAutomaton):
-        acceptor = compiled_tba(acceptor)
-    fork_ok = (
-        workers > 1
-        and n > 1
-        and "fork" in multiprocessing.get_all_start_methods()
-    )
-    h = _obs.HOOKS
-
-    def fallback(reason: str, to: str) -> str:
-        if h is not None:
-            h.count("engine.backend_fallbacks", reason=reason)
-        return to
-
-    if backend == "serial" or workers <= 1 or n <= 1:
-        mode = "serial"
-    elif backend == "fork":
-        mode = "fork" if fork_ok else fallback("fork-unavailable", "serial")
-    elif backend == "shards":
-        mode = "shards" if fork_ok else fallback("fork-unavailable", "serial")
-    elif not fork_ok:
-        mode = "serial"
-    elif n < max(MIN_POOL_WORDS, 8 * workers):
-        mode = fallback("small-batch", "serial")
-    else:
-        from ..shard.pool import pool_is_warm
-
-        mode = "shards" if pool_is_warm() else "fork"
-    if mode == "shards":
-        # Preflight the pipe: a closure-laden acceptor or customized
-        # strategy cannot reach a persistent worker.
-        from ..shard import pool as _shard_pool
-
-        try:
-            lang_spec = _shard_pool.language_spec(shippable)
-            strat_spec = _shard_pool.strategy_spec(strat)
-        except _shard_pool.LanguageUnshippable as exc:
-            mode = fallback(exc.reason, "fork" if fork_ok else "serial")
-
-    if h is not None:
-        h.count(
-            "engine.batches", mode="pool" if mode == "fork" else mode
-        )
-        h.count("engine.batch_words", n)
-
-    def run_serial() -> List[DecisionReport]:
-        return [
-            _decide_one(acceptor, words[i], horizon, strat, seed, i)
-            for i in range(n)
-        ]
-
-    def run_fork() -> List[DecisionReport]:
-        size = chunk_size if chunk_size is not None else max(
-            1, math.ceil(n / (workers * 4))
-        )
-        ctx = multiprocessing.get_context("fork")
-        token = _register_job((acceptor, words, horizon, strat, seed))
-        chunks = [(token, lo, min(lo + size, n)) for lo in range(0, n, size)]
-        try:
-            with ctx.Pool(processes=min(workers, len(chunks))) as pool:
-                parts = pool.map(_run_chunk_metered, chunks)
-        finally:
-            _release_job(token)
-        if h is not None:
-            for _reports, delta in parts:
-                if delta:
-                    h.registry.merge(delta)
-        return [report for part, _delta in parts for report in part]
-
-    def run_shards() -> List[DecisionReport]:
-        from ..shard import pool as shard_pool
-
-        router = shard_pool.shared_pool(workers)
-        k = max(1, min(workers, router.n_shards))
-        size = chunk_size if chunk_size is not None else max(
-            1, math.ceil(n / (k * 4))
-        )
-        chunks = [(lo, min(lo + size, n)) for lo in range(0, n, size)]
-        slots, failures = shard_pool.run_chunks(
-            router, lang_spec, strat_spec, words, chunks,
-            horizon=horizon, seed=seed, workers=workers,
-        )
-        # Any chunk the pool could not finish is judged in-process —
-        # same pure function, so the batch stays bit-identical.
-        for lo, hi, reason, _detail in failures:
-            if h is not None:
-                h.count("engine.backend_fallbacks", reason=f"shard-{reason}")
-            for i in range(lo, hi):
-                slots[i] = _decide_one(acceptor, words[i], horizon, strat, seed, i)
-        return [slots[i] for i in range(n)]
-
-    run = {"serial": run_serial, "fork": run_fork, "shards": run_shards}[mode]
-    if h is None:
-        return run()
-    with h.span(
-        "engine.decide_many",
-        words=n,
-        workers=1 if mode == "serial" else workers,
-        strategy=strat.name,
+    return _judge_batch(
+        acceptor,
+        words,
         horizon=horizon,
-        backend=mode,
-    ):
-        return run()
+        strategy=strategy,
+        workers=workers,
+        chunk_size=chunk_size,
+        seed=seed,
+        backend=backend,
+        retry=_NO_RETRY,
+        degrade=None,
+        deadline_s=None,
+    ).reports
 
 
 # ----------------------------------------------------------------------
@@ -317,7 +138,7 @@ class AcceptorCache:
     reported a hit-capable cache while never serving one.
     """
 
-    def __init__(self, maxsize: int = 128):
+    def __init__(self, maxsize: int = CACHE_SIZE):
         if maxsize < 0:
             raise ValueError(
                 f"maxsize must be >= 0 (0 disables caching), got {maxsize}"

@@ -1,56 +1,75 @@
-"""Fault-tolerant decision fan-out: the crash-recovering pool path.
+"""Decision fan-out: one chunk scheduler and one recovery ladder.
 
-:func:`repro.engine.batch.decide_many` assumes a well-behaved pool: a
-SIGKILLed worker hangs the whole sweep, an exception aborts it, and a
-slow word holds every verdict hostage.  Production fan-out needs the
-failure model real-time parallel computation treats as first-class:
-processors die, and recovery itself has a timing budget.  This module
-is that layer, built on the same tokened chunk protocol as the plain
-pool (same :func:`~repro.engine.batch._run_chunk`, same fork
-inheritance of unpicklable acceptors) but with one forked process per
-chunk and an explicit result pipe, so the parent *sees* every failure:
+Both batch entry points run on the scheduler in this module.
+:func:`decide_many_resilient` judges a batch under an explicit failure
+model; :func:`repro.engine.batch.decide_many` is the same scheduler
+with no retries and no deadline.  Real-time parallel computation
+treats failure as first-class: processors die, and recovery itself has
+a timing budget.
 
-* **worker death** — the child's pipe closes with nothing on it
-  (SIGKILL, OOM, segfault).  The chunk is retried with capped
-  exponential backoff, optionally split in half first so a single
-  poison word is isolated in O(log chunk) retries;
-* **worker exception** — the child reports the error before exiting;
-  same retry path, with the reason preserved;
+A batch is cut into chunks of contiguous word indices.  A *launcher*
+does two things only: start a chunk, and read back its reports or its
+failure.  There are three:
+
+* **in-process** (``serial``) — the parent judges one word per chunk;
+* **fork** — one forked child per chunk, reporting over its own pipe.
+  The child inherits the acceptor and the words by memory copy, so
+  unpicklable closure acceptors (a
+  :class:`~repro.machine.rtalgorithm.RealTimeAlgorithm`) fan out too,
+  and a SIGKILLed child shows up as EOF on its pipe;
+* **shards** — an ``OP_DECIDE`` frame to a persistent worker of
+  :mod:`repro.shard.pool`; a dead worker is respawned and its chunk
+  reported failed.
+
+Everything else belongs to the scheduler and is the same for all three:
+
+* **worker death** (SIGKILL, OOM, segfault) and **worker exception** —
+  the chunk is retried with capped exponential backoff, split in half
+  first so a single poison word is isolated in O(log chunk) retries;
 * **deadline budget** — ``deadline_s`` bounds the whole batch in
-  wall-clock seconds.  On expiry every still-missing word gets an
-  explicit :data:`~repro.engine.verdict.Verdict.UNDECIDED` report
-  (the engine's inconclusive verdict) marked
-  ``evidence["degraded"] = "deadline"`` — partial results, never a
-  hang;
-* **graceful degradation** — a chunk that exhausts its retries falls
-  back to the parent's serial loop under the same strategy (reports
-  stay bit-identical to the serial path and carry *no* marker), then
-  optionally to a cheaper strategy (``fallback_strategy``, typically
-  ``"long-prefix-empirical"``), whose reports are explicitly marked
+  wall-clock seconds.  On expiry, running chunks are killed and every
+  still-missing word gets an explicit
+  :data:`~repro.engine.verdict.Verdict.UNDECIDED` report (the engine's
+  inconclusive verdict) marked ``evidence["degraded"] = "deadline"`` —
+  partial results, never a hang;
+* **graceful degradation** — a chunk that exhausts its retries is
+  judged again in the parent under the same strategy (reports stay
+  bit-identical to the serial path and carry *no* marker), then
+  optionally under a cheaper strategy (``fallback_strategy``, typically
+  ``"long-prefix-empirical"``), whose reports are marked
   ``evidence["degraded"] = "strategy-fallback:<name>"``.
+
+``decide_many`` takes the parent rescue straight away (no retries) and
+re-raises an exception that nothing rescues; it never marks a report.
+Whenever the scheduler stops with chunks still running (a deadline, or
+that exception), it kills them first: no forked child outlives the
+call, and no shard worker still owes a reply to the next batch.
 
 The invariant the fault suite pins: **every unmarked report is
 bit-identical to what the serial path would have produced** — retries
-and serial fallback re-run the pure per-word function, so fault
+and the parent rescue re-run the pure per-word function, so fault
 recovery is invisible in the verdict stream; only *marked* reports may
 differ, and the marker says why.
 
 Observability: ``engine.retries{reason}``, ``engine.degraded{mode}``,
-``engine.deadline_misses``, and the ``engine.decide_many_resilient``
-span.  Fault wrappers for tests/benchmarks live in
-:mod:`repro.engine.faults`.
+``engine.deadline_misses``, ``engine.backend_fallbacks{reason}``, and
+the ``engine.decide_many`` / ``engine.decide_many_resilient`` spans.
+Fault wrappers for tests/benchmarks live in :mod:`repro.engine.faults`.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
 import multiprocessing
-import multiprocessing.connection
 import time
+from collections import deque
 from dataclasses import dataclass, field
+from multiprocessing import connection as mp_connection
 from typing import Any, List, Optional, Sequence, Tuple, Union
 
 from ..obs import hooks as _obs
-from .batch import BACKENDS, _decide_one, _register_job, _release_job, _run_chunk
+from .batch import _decide_one, compiled_tba
 from .strategies import DEFAULT_HORIZON, DecisionStrategy, get_strategy
 from .verdict import DecisionReport, Verdict
 
@@ -121,53 +140,356 @@ class BatchOutcome:
         return not self.degraded_indices and not self.deadline_missed
 
 
-class _Chunk:
-    __slots__ = ("lo", "hi", "attempt", "not_before")
+#: Auto-backend heuristic floor: below ``max(this, 8 * workers)`` words
+#: a pool's startup cost dominates the work, so ``decide_many``'s
+#: ``backend="auto"`` routes ``workers > 1`` calls to the serial path
+#: (recorded in ``engine.backend_fallbacks{reason="small-batch"}``).
+MIN_POOL_WORDS = 64
 
-    def __init__(self, lo: int, hi: int, attempt: int = 0, not_before: float = 0.0):
-        self.lo = lo
-        self.hi = hi
-        self.attempt = attempt
-        self.not_before = not_before
+BACKENDS = ("auto", "serial", "fork", "shards")
 
-    def indices(self) -> range:
-        return range(self.lo, self.hi)
+#: ``decide_many``'s retry policy: a failed chunk goes straight to the
+#: parent rescue.
+_NO_RETRY = RetryPolicy(max_retries=0)
+
+#: A chunk in flight: ``(lo, hi, attempt)`` over the word indices.
+_Chunk = Tuple[int, int, int]
 
 
-def _chunk_child(conn: Any, token: int, lo: int, hi: int) -> None:
-    """Forked child: judge one chunk, ship the reports (or the error).
+def _select_backend(
+    backend: str, workers: int, n: int, acceptor: Any, strat: DecisionStrategy
+) -> Tuple[str, Any]:
+    """``(mode, ship)`` for one batch — the one place a backend is chosen.
+
+    ``"auto"`` picks serial for batches too small to repay a pool, the
+    shard pool when it is already warm, and fork otherwise.  Every
+    routing away from a pool is counted in
+    ``engine.backend_fallbacks{reason}``.  ``ship`` is the pipe-safe
+    ``(language, strategy)`` pair the shard launcher sends, else None.
+    """
+    h = _obs.HOOKS
+
+    def fallback(reason: str, mode: str) -> Tuple[str, Any]:
+        if h is not None:
+            h.count("engine.backend_fallbacks", reason=reason)
+        return mode, None
+
+    if backend == "serial" or workers <= 1 or n <= 1:
+        return "serial", None
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return fallback("fork-unavailable", "serial")
+    if backend == "auto":
+        if n < max(MIN_POOL_WORDS, 8 * workers):
+            return fallback("small-batch", "serial")
+        from ..shard.pool import pool_is_warm
+
+        backend = "shards" if pool_is_warm() else "fork"
+    if backend == "shards":
+        # Preflight the pipe: a closure-laden acceptor or a customized
+        # strategy cannot reach a persistent worker.
+        from ..shard import pool as shard_pool
+
+        try:
+            return "shards", (
+                shard_pool.language_spec(acceptor),
+                shard_pool.strategy_spec(strat),
+            )
+        except shard_pool.LanguageUnshippable as exc:
+            return fallback(exc.reason, "fork")
+    return "fork", None
+
+
+def _judge_range(job: Tuple[Any, ...], lo: int, hi: int) -> List[DecisionReport]:
+    acceptor, words, horizon, strat, seed = job
+    return [
+        _decide_one(acceptor, words[i], horizon, strat, seed, i)
+        for i in range(lo, hi)
+    ]
+
+
+class _InProcess:
+    """The serial launcher: the parent judges a chunk when it starts."""
+
+    def __init__(self, job: Tuple[Any, ...]):
+        self.job = job
+        self.done: List[Tuple[_Chunk, Tuple[str, Any]]] = []
+
+    def start(self, chunk: _Chunk) -> None:
+        try:
+            result = ("ok", _judge_range(self.job, chunk[0], chunk[1]))
+        except Exception as exc:  # noqa: BLE001 — the ladder decides
+            result = ("exception", exc)
+        self.done.append((chunk, result))
+
+    def collect(self, _timeout: Optional[float]) -> List[Tuple[_Chunk, Tuple[str, Any]]]:
+        done, self.done = self.done, []
+        return done
+
+    def kill_all(self) -> None:
+        self.done.clear()
+
+
+def _chunk_child(conn: Any, job: Tuple[Any, ...], lo: int, hi: int) -> None:
+    """Forked child: judge one chunk, send back the reports or the error.
 
     When the parent had hooks installed at fork time, the chunk runs
     under fresh child instrumentation and the registry dump rides back
     with the reports — metrics recorded in the child would otherwise
-    die with it (see :func:`repro.engine.batch._run_chunk_metered`).
+    die with it.
     """
     try:
         if _obs.HOOKS is None:
-            conn.send(("ok", _run_chunk((token, lo, hi)), None))
+            conn.send(("ok", _judge_range(job, lo, hi), None))
         else:
             with _obs.instrumented() as inst:
-                reports = _run_chunk((token, lo, hi))
+                reports = _judge_range(job, lo, hi)
             conn.send(("ok", reports, inst.registry.dump()))
-    except BaseException as exc:  # noqa: BLE001 — report anything, then die
-        try:
-            conn.send(("err", repr(exc)))
-        except Exception:
-            pass
+    except Exception as exc:  # noqa: BLE001 — report it, then exit
+        conn.send(("exception", repr(exc), None))
     finally:
         conn.close()
 
 
+class _ForkLauncher:
+    """One forked child and one result pipe per chunk."""
+
+    def __init__(self, job: Tuple[Any, ...]):
+        self.job = job
+        self.ctx = multiprocessing.get_context("fork")
+        self.live: dict = {}  # parent_conn -> (process, chunk)
+
+    def start(self, chunk: _Chunk) -> None:
+        parent_conn, child_conn = self.ctx.Pipe(duplex=False)
+        proc = self.ctx.Process(
+            target=_chunk_child,
+            args=(child_conn, self.job, chunk[0], chunk[1]),
+            daemon=True,
+        )
+        proc.start()
+        child_conn.close()
+        self.live[parent_conn] = (proc, chunk)
+
+    def collect(self, timeout: Optional[float]) -> List[Tuple[_Chunk, Tuple[str, Any]]]:
+        done = []
+        for conn in mp_connection.wait(list(self.live), timeout=timeout):
+            proc, chunk = self.live.pop(conn)
+            try:
+                kind, payload, delta = conn.recv()
+            except (EOFError, OSError):
+                kind, payload, delta = "worker-death", None, None
+            conn.close()
+            proc.join()
+            h = _obs.HOOKS
+            if h is not None and delta:
+                h.registry.merge(delta)
+            if kind == "worker-death":
+                payload = f"exitcode={proc.exitcode}"
+            done.append((chunk, (kind, payload)))
+        return done
+
+    def kill_all(self) -> None:
+        for conn, (proc, _chunk) in self.live.items():
+            proc.kill()
+            proc.join()
+            conn.close()
+        self.live.clear()
+
+
 def _inconclusive(
-    index: int, seed: int, strat_name: str, reason: str, detail: Optional[str] = None
+    index: int, seed: int, strat_name: str, reason: str, detail: Any = None
 ) -> DecisionReport:
     """The explicit INCONCLUSIVE remainder report (UNDECIDED + marker)."""
     evidence = {"seed": seed + index, "index": index, "degraded": reason}
     if detail is not None:
-        evidence["error"] = detail
+        evidence["error"] = detail if isinstance(detail, str) else repr(detail)
     return DecisionReport(
         verdict=Verdict.UNDECIDED, horizon=0, evidence=evidence, strategy=strat_name
     )
+
+
+def _judge_batch(
+    acceptor: Any,
+    words: Sequence[Any],
+    *,
+    horizon: int,
+    strategy: Union[str, DecisionStrategy],
+    workers: int,
+    chunk_size: Optional[int],
+    seed: int,
+    backend: str,
+    retry: RetryPolicy,
+    degrade: Optional[DegradePolicy],
+    deadline_s: Optional[float],
+) -> BatchOutcome:
+    """The chunk scheduler behind both entry points.
+
+    ``degrade=None`` is ``decide_many``'s contract: a chunk whose
+    retries are spent is judged again in the parent under the same
+    strategy, and an exception that nothing rescues is re-raised.
+    """
+    if workers < 1:
+        raise ValueError(
+            f"workers must be >= 1, got {workers} (use workers=1 for the "
+            "serial path)"
+        )
+    if chunk_size is not None and chunk_size < 1:
+        raise ValueError(
+            f"chunk_size must be >= 1 or None for automatic sizing, got "
+            f"{chunk_size}"
+        )
+    if deadline_s is not None and deadline_s <= 0:
+        raise ValueError(f"deadline_s must be > 0, got {deadline_s}")
+    if backend not in BACKENDS:
+        raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
+    words = list(words)
+    strat = get_strategy(strategy)
+    n = len(words)
+    mode, ship = _select_backend(backend, workers, n, acceptor, strat)
+    # A raw TBA ships to shard workers as-is (they compile it into their
+    # own warm cache); the parent judges through the cached compilation.
+    from ..automata.timed import TimedBuchiAutomaton
+
+    if isinstance(acceptor, TimedBuchiAutomaton):
+        acceptor = compiled_tba(acceptor)
+    job = (acceptor, words, horizon, strat, seed)
+    h = _obs.HOOKS
+    outcome = BatchOutcome(reports=[], mode="pool" if mode == "fork" else mode)
+    if h is not None:
+        h.count("engine.batches", mode=outcome.mode)
+        h.count("engine.batch_words", n)
+    start = time.perf_counter()
+    deadline_at = None if deadline_s is None else start + deadline_s
+    slots: List[Optional[DecisionReport]] = [None] * n
+    waiting: List[Tuple[float, int, int, int]] = []  # retry heap by not_before
+
+    def rescue(lo: int, hi: int, detail: Any) -> None:
+        """The degrade ladder for a chunk whose retries are spent."""
+        for i in range(lo, hi):
+            if deadline_at is not None and time.perf_counter() >= deadline_at:
+                outcome.deadline_missed = True
+                return  # the rest become deadline markers
+            # the in-process launcher already was the parent's judgement
+            if mode != "serial" and (degrade is None or degrade.serial_fallback):
+                try:
+                    slots[i] = _decide_one(acceptor, words[i], horizon, strat, seed, i)
+                except Exception as exc:
+                    if degrade is None:
+                        raise
+                    detail = exc
+                else:
+                    outcome.serial_fallbacks += 1
+                    if h is not None:
+                        h.count("engine.degraded", mode="serial-fallback")
+                    continue
+            if degrade is None:
+                raise detail
+            if degrade.fallback_strategy is not None:
+                cheap = get_strategy(degrade.fallback_strategy)
+                try:
+                    report = _decide_one(acceptor, words[i], horizon, cheap, seed, i)
+                except Exception as exc:
+                    detail = exc
+                else:
+                    report.evidence["degraded"] = f"strategy-fallback:{cheap.name}"
+                    slots[i] = report
+                    outcome.degraded_indices.append(i)
+                    if h is not None:
+                        h.count("engine.degraded", mode="strategy-fallback")
+                    continue
+            slots[i] = _inconclusive(i, seed, strat.name, "abandoned", detail)
+            outcome.degraded_indices.append(i)
+            if h is not None:
+                h.count("engine.degraded", mode="abandoned")
+
+    def settle(chunk: _Chunk, result: Tuple[str, Any]) -> None:
+        lo, hi, attempt = chunk
+        kind, payload = result
+        if kind == "ok":
+            slots[lo:hi] = payload
+            return
+        if kind == "worker-death":
+            outcome.worker_deaths += 1
+        attempt += 1
+        if attempt > retry.max_retries:
+            rescue(lo, hi, payload)
+            return
+        outcome.retries += 1
+        if h is not None:
+            h.count("engine.retries", reason=kind)
+        not_before = time.perf_counter() + retry.delay(attempt)
+        mid = (lo + hi) // 2 if retry.split_chunks and hi - lo > 1 else lo
+        for part_lo, part_hi in ((lo, mid), (mid, hi)):
+            if part_lo < part_hi:
+                heapq.heappush(waiting, (not_before, part_lo, part_hi, attempt))
+
+    def run() -> None:
+        if mode == "serial":
+            launcher: Any = _InProcess(job)
+            capacity, size = 1, 1
+        else:
+            if mode == "fork":
+                launcher, capacity = _ForkLauncher(job), workers
+            else:
+                from ..shard.pool import ShardLauncher
+
+                launcher = ShardLauncher(ship, words, horizon, seed, workers)
+                capacity = launcher.capacity
+            size = chunk_size or max(1, math.ceil(n / (capacity * 4)))
+        fresh = deque((lo, min(lo + size, n), 0) for lo in range(0, n, size))
+        inflight = 0
+        try:
+            while fresh or waiting or inflight:
+                now = time.perf_counter()
+                if deadline_at is not None and now >= deadline_at:
+                    outcome.deadline_missed = True
+                    break
+                while inflight < capacity and waiting and waiting[0][0] <= now:
+                    _not_before, lo, hi, attempt = heapq.heappop(waiting)
+                    launcher.start((lo, hi, attempt))
+                    inflight += 1
+                while inflight < capacity and fresh:
+                    launcher.start(fresh.popleft())
+                    inflight += 1
+                wake = [] if deadline_at is None else [deadline_at]
+                if waiting:
+                    wake.append(waiting[0][0])
+                if inflight:
+                    timeout = max(0.0, min(wake) - now) if wake else None
+                    for chunk, result in launcher.collect(timeout):
+                        inflight -= 1
+                        settle(chunk, result)
+                elif waiting:
+                    time.sleep(max(0.0, min(wake) - time.perf_counter()))
+        finally:
+            # A deadline, or an exception the ladder re-raises, can leave
+            # chunks running: kill them, so no child outlives the call
+            # and no worker still owes a reply to the next batch.
+            if inflight:
+                launcher.kill_all()
+        for i in range(n):
+            if slots[i] is None:
+                slots[i] = _inconclusive(i, seed, strat.name, "deadline")
+                outcome.degraded_indices.append(i)
+        outcome.degraded_indices.sort()
+        outcome.reports = slots  # type: ignore[assignment]
+        if outcome.deadline_missed and h is not None:
+            h.count("engine.deadline_misses")
+
+    if h is None:
+        run()
+    else:
+        with h.span(
+            "engine.decide_many" if degrade is None else "engine.decide_many_resilient",
+            words=n,
+            workers=1 if mode == "serial" else workers,
+            strategy=strat.name,
+            horizon=horizon,
+            deadline_s=deadline_s if deadline_s is not None else 0,
+            backend=mode,
+        ):
+            run()
+    outcome.elapsed_s = time.perf_counter() - start
+    return outcome
 
 
 def decide_many_resilient(
@@ -199,434 +521,17 @@ def decide_many_resilient(
     same retry/degrade ladder applies; needs a picklable acceptor and
     falls back to fork with the reason recorded otherwise).
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    if chunk_size is not None and chunk_size < 1:
-        raise ValueError(
-            f"chunk_size must be >= 1 or None for automatic sizing, got {chunk_size}"
-        )
-    if deadline_s is not None and deadline_s <= 0:
-        raise ValueError(f"deadline_s must be > 0, got {deadline_s}")
-    if backend not in BACKENDS:
-        raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
-    retry = retry if retry is not None else RetryPolicy()
-    degrade = degrade if degrade is not None else DegradePolicy()
-    words = list(words)
-    strat = get_strategy(strategy)
-    n = len(words)
-    # Raw TBAs are accepted like decide_many's: shipped as-is to shard
-    # workers, judged locally through the cached compilation.
-    from ..automata.timed import TimedBuchiAutomaton
-    from .batch import compiled_tba
-
-    shippable = acceptor
-    if isinstance(acceptor, TimedBuchiAutomaton):
-        acceptor = compiled_tba(acceptor)
-    fork_ok = (
-        workers > 1
-        and n > 1
-        and "fork" in multiprocessing.get_all_start_methods()
+    return _judge_batch(
+        acceptor,
+        words,
+        horizon=horizon,
+        strategy=strategy,
+        workers=workers,
+        chunk_size=chunk_size,
+        seed=seed,
+        # the ladder's per-chunk process isolation is the default here
+        backend="fork" if backend == "auto" else backend,
+        retry=retry if retry is not None else RetryPolicy(),
+        degrade=degrade if degrade is not None else DegradePolicy(),
+        deadline_s=deadline_s,
     )
-    h = _obs.HOOKS
-
-    def fallback(reason: str, to: str) -> str:
-        if h is not None:
-            h.count("engine.backend_fallbacks", reason=reason)
-        return to
-
-    if backend == "serial" or workers <= 1 or n <= 1:
-        mode = "serial"
-    elif not fork_ok:
-        mode = fallback("fork-unavailable", "serial")
-    elif backend == "shards":
-        mode = "shards"
-    else:  # "auto" and "fork" both take the fork path (the ladder's
-        # per-chunk process isolation is the battle-tested default)
-        mode = "fork"
-    lang_spec = strat_spec_ = None
-    if mode == "shards":
-        from ..shard import pool as _shard_pool
-
-        try:
-            lang_spec = _shard_pool.language_spec(shippable)
-            strat_spec_ = _shard_pool.strategy_spec(strat)
-        except _shard_pool.LanguageUnshippable as exc:
-            mode = fallback(exc.reason, "fork")
-    mode_label = {"serial": "serial", "fork": "pool", "shards": "shards"}[mode]
-    if h is not None:
-        h.count("engine.batches", mode=mode_label)
-        h.count("engine.batch_words", n)
-
-    start = time.perf_counter()
-    deadline_at = None if deadline_s is None else start + deadline_s
-    outcome = BatchOutcome(reports=[], mode=mode_label)
-
-    def run() -> None:
-        slots: List[Optional[DecisionReport]] = [None] * n
-        if mode == "shards":
-            _run_pooled_shards(
-                slots, acceptor, words, horizon, strat, seed, workers,
-                chunk_size, retry, degrade, deadline_at, outcome,
-                lang_spec, strat_spec_,
-            )
-        elif mode == "fork":
-            _run_pooled(
-                slots, acceptor, words, horizon, strat, seed, workers,
-                chunk_size, retry, degrade, deadline_at, outcome,
-            )
-        else:
-            _run_serial(
-                slots, acceptor, words, horizon, strat, seed,
-                retry, degrade, deadline_at, outcome,
-            )
-        for i in range(n):
-            if slots[i] is None:
-                slots[i] = _inconclusive(i, seed, strat.name, "deadline")
-                outcome.degraded_indices.append(i)
-        outcome.degraded_indices.sort()
-        outcome.reports = slots  # type: ignore[assignment]
-        if outcome.deadline_missed and h is not None:
-            h.count("engine.deadline_misses")
-
-    if h is None:
-        run()
-    else:
-        with h.span(
-            "engine.decide_many_resilient",
-            words=n,
-            workers=1 if mode == "serial" else workers,
-            strategy=strat.name,
-            horizon=horizon,
-            deadline_s=deadline_s if deadline_s is not None else 0,
-            backend=mode,
-        ):
-            run()
-    outcome.elapsed_s = time.perf_counter() - start
-    return outcome
-
-
-# ----------------------------------------------------------------------
-# degrade ladder (shared by both paths)
-# ----------------------------------------------------------------------
-
-def _degrade_index(
-    slots: List[Optional[DecisionReport]],
-    i: int,
-    acceptor: Any,
-    words: Sequence[Any],
-    horizon: int,
-    strat: DecisionStrategy,
-    seed: int,
-    degrade: DegradePolicy,
-    outcome: BatchOutcome,
-    *,
-    try_serial: bool,
-    detail: Optional[str],
-    deadline_at: Optional[float],
-) -> None:
-    """Last-resort judgement of one word after retries are exhausted."""
-    h = _obs.HOOKS
-    if deadline_at is not None and time.perf_counter() >= deadline_at:
-        outcome.deadline_missed = True
-        slots[i] = _inconclusive(i, seed, strat.name, "deadline", detail)
-        outcome.degraded_indices.append(i)
-        return
-    if try_serial:
-        try:
-            slots[i] = _decide_one(acceptor, words[i], horizon, strat, seed, i)
-            outcome.serial_fallbacks += 1
-            if h is not None:
-                h.count("engine.degraded", mode="serial-fallback")
-            return
-        except Exception as exc:
-            detail = repr(exc)
-    if degrade.fallback_strategy is not None:
-        cheap = get_strategy(degrade.fallback_strategy)
-        try:
-            report = _decide_one(acceptor, words[i], horizon, cheap, seed, i)
-            report.evidence["degraded"] = f"strategy-fallback:{cheap.name}"
-            slots[i] = report
-            outcome.degraded_indices.append(i)
-            if h is not None:
-                h.count("engine.degraded", mode="strategy-fallback")
-            return
-        except Exception as exc:
-            detail = repr(exc)
-    slots[i] = _inconclusive(i, seed, strat.name, "abandoned", detail)
-    outcome.degraded_indices.append(i)
-    if h is not None:
-        h.count("engine.degraded", mode="abandoned")
-
-
-# ----------------------------------------------------------------------
-# serial path: retries + deadline without a pool
-# ----------------------------------------------------------------------
-
-def _run_serial(
-    slots: List[Optional[DecisionReport]],
-    acceptor: Any,
-    words: Sequence[Any],
-    horizon: int,
-    strat: DecisionStrategy,
-    seed: int,
-    retry: RetryPolicy,
-    degrade: DegradePolicy,
-    deadline_at: Optional[float],
-    outcome: BatchOutcome,
-) -> None:
-    h = _obs.HOOKS
-    for i in range(len(words)):
-        if deadline_at is not None and time.perf_counter() >= deadline_at:
-            outcome.deadline_missed = True
-            return
-        attempt = 0
-        while True:
-            try:
-                slots[i] = _decide_one(acceptor, words[i], horizon, strat, seed, i)
-                break
-            except Exception as exc:
-                attempt += 1
-                outcome.retries += 1
-                if h is not None:
-                    h.count("engine.retries", reason="exception")
-                if attempt > retry.max_retries:
-                    # serial judging just failed, so the ladder skips
-                    # the (identical) serial-fallback rung
-                    _degrade_index(
-                        slots, i, acceptor, words, horizon, strat, seed,
-                        degrade, outcome, try_serial=False,
-                        detail=repr(exc), deadline_at=deadline_at,
-                    )
-                    break
-                delay = retry.delay(attempt)
-                if deadline_at is not None:
-                    delay = min(delay, max(0.0, deadline_at - time.perf_counter()))
-                time.sleep(delay)
-
-
-# ----------------------------------------------------------------------
-# pooled path: one forked process per chunk, explicit result pipes
-# ----------------------------------------------------------------------
-
-def _run_pooled(
-    slots: List[Optional[DecisionReport]],
-    acceptor: Any,
-    words: Sequence[Any],
-    horizon: int,
-    strat: DecisionStrategy,
-    seed: int,
-    workers: int,
-    chunk_size: Optional[int],
-    retry: RetryPolicy,
-    degrade: DegradePolicy,
-    deadline_at: Optional[float],
-    outcome: BatchOutcome,
-) -> None:
-    import math
-
-    h = _obs.HOOKS
-    n = len(words)
-    size = chunk_size if chunk_size is not None else max(
-        1, math.ceil(n / (workers * 4))
-    )
-    ctx = multiprocessing.get_context("fork")
-    token = _register_job((acceptor, list(words), horizon, strat, seed))
-    pending: List[_Chunk] = [
-        _Chunk(lo, min(lo + size, n)) for lo in range(0, n, size)
-    ]
-    live: dict = {}  # parent_conn -> (process, chunk)
-
-    def launch(chunk: _Chunk) -> None:
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
-        proc = ctx.Process(
-            target=_chunk_child,
-            args=(child_conn, token, chunk.lo, chunk.hi),
-            daemon=True,
-        )
-        proc.start()
-        child_conn.close()
-        live[parent_conn] = (proc, chunk)
-
-    def fail(chunk: _Chunk, reason: str, detail: Optional[str]) -> None:
-        attempt = chunk.attempt + 1
-        if reason == "worker-death":
-            outcome.worker_deaths += 1
-        if attempt > retry.max_retries:
-            for i in chunk.indices():
-                if slots[i] is None:
-                    _degrade_index(
-                        slots, i, acceptor, words, horizon, strat, seed,
-                        degrade, outcome, try_serial=degrade.serial_fallback,
-                        detail=detail, deadline_at=deadline_at,
-                    )
-            return
-        outcome.retries += 1
-        if h is not None:
-            h.count("engine.retries", reason=reason)
-        not_before = time.perf_counter() + retry.delay(attempt)
-        if retry.split_chunks and chunk.hi - chunk.lo > 1:
-            mid = (chunk.lo + chunk.hi) // 2
-            pending.append(_Chunk(chunk.lo, mid, attempt, not_before))
-            pending.append(_Chunk(mid, chunk.hi, attempt, not_before))
-        else:
-            pending.append(_Chunk(chunk.lo, chunk.hi, attempt, not_before))
-
-    def reap(conn: Any) -> None:
-        proc, chunk = live.pop(conn)
-        try:
-            msg = conn.recv()
-        except (EOFError, OSError):
-            msg = None
-        conn.close()
-        proc.join()
-        if msg is not None and msg[0] == "ok":
-            for report in msg[1]:
-                slots[report.evidence["index"]] = report
-            if len(msg) > 2 and msg[2] and h is not None:
-                h.registry.merge(msg[2])
-        elif msg is not None:
-            fail(chunk, "exception", msg[1])
-        else:
-            fail(chunk, "worker-death", f"exitcode={proc.exitcode}")
-
-    try:
-        while pending or live:
-            now = time.perf_counter()
-            if deadline_at is not None and now >= deadline_at:
-                outcome.deadline_missed = True
-                for proc, _chunk in live.values():
-                    proc.kill()
-                    proc.join()
-                for conn in list(live):
-                    conn.close()
-                live.clear()
-                pending.clear()
-                return
-            eligible = [c for c in pending if c.not_before <= now]
-            for chunk in eligible[: max(0, workers - len(live))]:
-                pending.remove(chunk)
-                launch(chunk)
-            if live:
-                timeout: Optional[float] = None
-                waits = [c.not_before - now for c in pending if c.not_before > now]
-                if waits:
-                    timeout = max(0.0, min(waits))
-                if deadline_at is not None:
-                    remaining = max(0.0, deadline_at - now)
-                    timeout = remaining if timeout is None else min(timeout, remaining)
-                for conn in multiprocessing.connection.wait(
-                    list(live), timeout=timeout
-                ):
-                    reap(conn)
-            elif pending:
-                target = min(c.not_before for c in pending)
-                if deadline_at is not None:
-                    target = min(target, deadline_at)
-                time.sleep(max(0.0, target - time.perf_counter()))
-    finally:
-        _release_job(token)
-
-
-# ----------------------------------------------------------------------
-# shard-pool path: the same ladder over persistent workers
-# ----------------------------------------------------------------------
-
-def _run_pooled_shards(
-    slots: List[Optional[DecisionReport]],
-    acceptor: Any,
-    words: Sequence[Any],
-    horizon: int,
-    strat: DecisionStrategy,
-    seed: int,
-    workers: int,
-    chunk_size: Optional[int],
-    retry: RetryPolicy,
-    degrade: DegradePolicy,
-    deadline_at: Optional[float],
-    outcome: BatchOutcome,
-    lang_spec: Any,
-    strat_spec: Any,
-) -> None:
-    """Resilient fan-out over the persistent shard pool.
-
-    Round-based: every backoff-eligible chunk goes to the pool at once,
-    completed chunks fill their slots, and failures come back as
-    explicit records that re-enter the same retry ladder as the fork
-    path (capped backoff, optional chunk splitting, then the degrade
-    ladder).  Worker deaths are healed *inside* the pool by respawn —
-    the shard that died is back at strength before the retry fires —
-    which is the per-shard analogue of the fork path's
-    process-per-chunk isolation.
-    """
-    import math
-
-    from ..shard import pool as shard_pool
-
-    h = _obs.HOOKS
-    n = len(words)
-    router = shard_pool.shared_pool(workers)
-    k = max(1, min(workers, router.n_shards))
-    size = chunk_size if chunk_size is not None else max(
-        1, math.ceil(n / (k * 4))
-    )
-    pending: List[_Chunk] = [
-        _Chunk(lo, min(lo + size, n)) for lo in range(0, n, size)
-    ]
-
-    def fail(chunk: _Chunk, reason: str, detail: Optional[str]) -> None:
-        attempt = chunk.attempt + 1
-        if reason == "worker-death":
-            outcome.worker_deaths += 1
-        if attempt > retry.max_retries:
-            for i in chunk.indices():
-                if slots[i] is None:
-                    _degrade_index(
-                        slots, i, acceptor, words, horizon, strat, seed,
-                        degrade, outcome, try_serial=degrade.serial_fallback,
-                        detail=detail, deadline_at=deadline_at,
-                    )
-            return
-        outcome.retries += 1
-        if h is not None:
-            h.count("engine.retries", reason=reason)
-        not_before = time.perf_counter() + retry.delay(attempt)
-        if retry.split_chunks and chunk.hi - chunk.lo > 1:
-            mid = (chunk.lo + chunk.hi) // 2
-            pending.append(_Chunk(chunk.lo, mid, attempt, not_before))
-            pending.append(_Chunk(mid, chunk.hi, attempt, not_before))
-        else:
-            pending.append(_Chunk(chunk.lo, chunk.hi, attempt, not_before))
-
-    while pending:
-        now = time.perf_counter()
-        if deadline_at is not None and now >= deadline_at:
-            outcome.deadline_missed = True
-            return
-        eligible = [c for c in pending if c.not_before <= now]
-        if not eligible:
-            target = min(c.not_before for c in pending)
-            if deadline_at is not None:
-                target = min(target, deadline_at)
-            time.sleep(max(0.0, target - time.perf_counter()))
-            continue
-        for chunk in eligible:
-            pending.remove(chunk)
-        by_range = {(c.lo, c.hi): c for c in eligible}
-        results, failures = shard_pool.run_chunks(
-            router, lang_spec, strat_spec, words, list(by_range),
-            horizon=horizon, seed=seed, workers=workers,
-            deadline_at=deadline_at, max_retries=0,
-        )
-        for i, report in results.items():
-            slots[i] = report
-        for lo, hi, reason, detail in failures:
-            chunk = by_range[(lo, hi)]
-            if reason == "deadline":
-                # missing slots become explicit deadline markers upstream
-                outcome.deadline_missed = True
-                continue
-            fail(
-                chunk,
-                "worker-death" if reason in ("worker-death", "no-workers") else "exception",
-                detail,
-            )

@@ -21,8 +21,8 @@ production surfaces:
 * **Batch decide scale-out** — ``decide_many(backend="shards")`` and
   ``decide_many_resilient(backend="shards")`` submit decision chunks to
   the same kind of pool (:mod:`repro.shard.pool`), kept warm across
-  calls so the per-batch fork/compile cost the plain pool pays
-  disappears; reports stay bit-identical to the serial path.
+  calls so the per-call forks the ``fork`` backend pays disappear;
+  reports stay bit-identical to the serial path.
 
 Metrics recorded inside workers are merged back into the parent
 registry (``MetricRegistry.merge`` over pipe-shipped deltas), and the

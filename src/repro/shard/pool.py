@@ -1,17 +1,16 @@
 """The shared decide-only shard pool behind ``backend="shards"``.
 
-The plain engine pool (:func:`repro.engine.batch.decide_many` with
-``workers > 1``) forks a fresh process pool on *every call* — the fork,
-the per-chunk warmup, and the compiled-acceptor rebuild are all paid
-per batch, which is why the ablation in ``benchmarks/bench_engine_batch``
-showed the pool *losing* to serial.  This module keeps one process-wide
+The fork backend (:func:`repro.engine.batch.decide_many` with
+``backend="fork"``) forks a fresh child per chunk on *every call*, so
+its forks are paid per batch.  This module keeps one process-wide
 :class:`~repro.shard.router.ShardRouter` (decide-only: no muxes) alive
 across calls, so repeat batches hit workers whose language artifacts
 are already compiled and warm.
 
-The hand-off differs from the fork pool's token registry: a persistent
-worker is forked *before* the batch exists, so nothing can be inherited
-— the acceptor and the words must actually cross the pipe.  That is a
+The hand-off differs from the fork backend's, whose children inherit
+the job by memory copy: a persistent worker is forked *before* the
+batch exists, so nothing can be inherited — the acceptor and the words
+must actually cross the pipe.  That is a
 real restriction: machine-protocol acceptors close over generator
 programs and do not pickle.  :func:`language_spec` preflights this and
 raises :class:`LanguageUnshippable` so the engine backends can fall
@@ -19,14 +18,19 @@ back (and count why) instead of dying mid-batch.  TBAs, timed words,
 strategies, and :class:`~repro.engine.verdict.DecisionReport` lists are
 all plain data and travel fine.
 
-:func:`run_chunks` is the scheduling loop shared by
-``decide_many(backend="shards")`` and
-``decide_many_resilient(backend="shards")``: one outstanding chunk per
-shard, worker death detected as pipe EOF and healed by respawn (the
-router keeps the pool at strength), deadlines enforced with a kill —
-failures come back as explicit ``(lo, hi, reason, detail)`` records for
-the caller's own recovery ladder, and every reply carries the worker's
-metric delta so child-side counts land in the parent registry.
+:class:`ShardLauncher` is this pool's side of the engine's one chunk
+scheduler (:mod:`repro.engine.resilience`): it starts a chunk as an
+``OP_DECIDE`` frame on an idle worker and reads back the reports (with
+the worker's metric delta, merged into the parent registry) or the
+failure.  A worker that dies is respawned, so the pool stays at
+strength, and its chunk is reported failed; retries, deadlines and the
+parent rescue belong to the scheduler.
+
+Each worker keeps the languages it was sent in a table of at most
+:data:`~repro.engine.batch.CACHE_SIZE` entries.  The router evicts the
+least recently used one when a new language arrives and tells the
+worker in the same install frame, so the two tables never disagree
+(:meth:`~repro.shard.router.ShardRouter.install_language`).
 """
 
 from __future__ import annotations
@@ -34,10 +38,8 @@ from __future__ import annotations
 import os
 import pickle
 import threading
-import time
-from collections import deque
 from multiprocessing import connection as mp_connection
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, List, Optional, Sequence, Tuple, Union
 
 from ..automata.timed import TimedBuchiAutomaton
 from ..obs import hooks as _obs
@@ -50,7 +52,7 @@ __all__ = [
     "strategy_spec",
     "shared_pool",
     "shutdown_pool",
-    "run_chunks",
+    "ShardLauncher",
 ]
 
 
@@ -68,10 +70,6 @@ class LanguageUnshippable(RuntimeError):
 
 _POOL: Optional[ShardRouter] = None
 _POOL_LOCK = threading.Lock()
-#: Keeps every shipped acceptor alive so its ``id``-derived language key
-#: can never be recycled for a different object (same discipline as the
-#: engine's AcceptorCache anchors).
-_ANCHORS: Dict[int, Any] = {}
 
 
 def default_pool_size() -> int:
@@ -103,7 +101,6 @@ def shutdown_pool() -> None:
         if _POOL is not None:
             _POOL.shutdown()
             _POOL = None
-        _ANCHORS.clear()
 
 
 def language_spec(acceptor: Any) -> Tuple[int, str, Any]:
@@ -118,9 +115,7 @@ def language_spec(acceptor: Any) -> Tuple[int, str, Any]:
         pickle.dumps(acceptor, protocol=pickle.HIGHEST_PROTOCOL)
     except Exception as exc:
         raise LanguageUnshippable("unshippable-acceptor", repr(exc)) from exc
-    key = id(acceptor)
-    _ANCHORS[key] = acceptor
-    return key, kind, acceptor
+    return id(acceptor), kind, acceptor
 
 
 def strategy_spec(strategy: Union[str, Any]) -> Any:
@@ -144,119 +139,101 @@ def strategy_spec(strategy: Union[str, Any]) -> Any:
     return strategy
 
 
-def run_chunks(
-    router: ShardRouter,
-    spec: Tuple[int, str, Any],
-    strat_spec: Any,
-    words: Sequence[Any],
-    chunks: List[Tuple[int, int]],
-    *,
-    horizon: int,
-    seed: int,
-    workers: int,
-    deadline_at: Optional[float] = None,
-    max_retries: int = 1,
-) -> Tuple[Dict[int, Any], List[Tuple[int, int, str, Optional[str]]]]:
-    """Schedule decide chunks over shard workers.
+class ShardLauncher:
+    """Start decide chunks on the shared pool; read back their results.
 
-    Returns ``(slots, failures)``: ``slots`` maps word index to its
-    report for every chunk that completed; ``failures`` lists
-    ``(lo, hi, reason, detail)`` for chunks that did not (reasons:
-    ``worker-death``, ``exception``, ``deadline``, ``unshippable``,
-    ``no-workers``).  A dead worker is respawned and its chunk retried
-    up to ``max_retries`` times before failing; no index appears in
-    both returns.
+    One outstanding chunk per shard.  :meth:`collect` yields
+    ``(chunk, (kind, payload))`` with ``kind`` one of ``ok`` (payload:
+    the reports), ``exception`` or ``worker-death`` (payload: a detail
+    string).
     """
-    key, kind, payload = spec
-    use = router.shard_ids[: max(1, min(workers, router.n_shards))]
-    idle = [router._shards[sid] for sid in use]
-    busy: Dict[Any, Tuple[Any, Tuple[int, int]]] = {}
-    queue = deque(chunks)
-    attempts: Dict[Tuple[int, int], int] = {}
-    slots: Dict[int, Any] = {}
-    failures: List[Tuple[int, int, str, Optional[str]]] = []
 
-    def give_up(chunk: Tuple[int, int], reason: str, detail: Optional[str]) -> None:
-        failures.append((chunk[0], chunk[1], reason, detail))
+    def __init__(
+        self,
+        ship: Tuple[Tuple[int, str, Any], Any],
+        words: Sequence[Any],
+        horizon: int,
+        seed: int,
+        workers: int,
+    ):
+        (self.key, self.kind, self.payload), self.strat = ship
+        self.words, self.horizon, self.seed = words, horizon, seed
+        self.router = router = shared_pool(workers)
+        use = router.shard_ids[: max(1, min(workers, router.n_shards))]
+        self.idle = [router._shards[sid] for sid in use]
+        self.capacity = len(self.idle)
+        self.live: dict = {}  # conn -> (shard, chunk)
+        self.done: List[Tuple[Any, Tuple[str, Any]]] = []
 
-    def revive(shard: Any, chunk: Tuple[int, int], detail: str) -> None:
-        attempts[chunk] = attempt = attempts.get(chunk, 0) + 1
-        try:
-            fresh = router.respawn(shard.id)
-        except Exception as exc:
-            give_up(chunk, "worker-death", f"{detail}; respawn failed: {exc!r}")
+    def start(self, chunk: Tuple[int, int, int]) -> None:
+        lo, hi = chunk[0], chunk[1]
+        if not self.idle:  # a respawn failed: no worker left to use
+            self.done.append((chunk, ("worker-death", "no live shard")))
             return
-        idle.append(fresh)
-        if attempt > max_retries:
-            give_up(chunk, "worker-death", detail)
-        else:
-            queue.append(chunk)
-
-    def submit(shard: Any, chunk: Tuple[int, int]) -> None:
-        lo, hi = chunk
+        shard = self.idle.pop()
         try:
-            router.install_language(shard, key, kind, payload)
+            self.router.install_language(shard, self.key, self.kind, self.payload)
             shard.seq += 1
             send_frame(
                 shard.conn,
                 OP_DECIDE,
                 shard.seq,
-                (key, lo, list(words[lo:hi]), horizon, strat_spec, seed),
+                (
+                    self.key, lo, self.words[lo:hi], self.horizon, self.strat,
+                    self.seed, _obs.HOOKS is not None,
+                ),
             )
-        except (ShardError, BrokenPipeError, OSError) as exc:
-            shard.alive = False
-            revive(shard, chunk, repr(exc))
+        except (ShardError, OSError) as exc:
+            self.done.append((chunk, self._respawn(shard, repr(exc))))
             return
         except Exception as exc:  # e.g. an unpicklable word mid-batch
-            idle.append(shard)
-            give_up(chunk, "unshippable", repr(exc))
+            self.idle.append(shard)
+            self.done.append((chunk, ("exception", repr(exc))))
             return
-        busy[shard.conn] = (shard, chunk)
+        self.live[shard.conn] = (shard, chunk)
 
-    while queue or busy:
-        while queue and idle:
-            submit(idle.pop(), queue.popleft())
-        if not busy:
-            while queue:  # every worker gone and none revivable
-                give_up(queue.popleft(), "no-workers", None)
-            break
-        timeout = None
-        if deadline_at is not None:
-            timeout = max(0.0, deadline_at - time.perf_counter())
-        ready = mp_connection.wait(list(busy), timeout=timeout)
-        if not ready:
-            # Deadline: kill the stragglers (respawn keeps the pool at
-            # strength for the next batch) and fail everything left.
-            for conn, (shard, chunk) in list(busy.items()):
-                try:
-                    router.respawn(shard.id)
-                except Exception:  # pragma: no cover
-                    pass
-                give_up(chunk, "deadline", None)
-            busy.clear()
-            while queue:
-                give_up(queue.popleft(), "deadline", None)
-            break
-        for conn in ready:
-            shard, chunk = busy.pop(conn)
+    def collect(self, timeout: Optional[float]) -> List[Tuple[Any, Tuple[str, Any]]]:
+        done, self.done = self.done, []
+        if not self.live:
+            return done
+        for conn in mp_connection.wait(list(self.live), timeout=0 if done else timeout):
+            shard, chunk = self.live.pop(conn)
             try:
                 frame = recv_frame(conn)
             except (EOFError, OSError) as exc:
-                shard.alive = False
-                revive(shard, chunk, repr(exc))
+                done.append((chunk, self._respawn(shard, repr(exc))))
                 continue
+            if frame.seq != shard.seq:  # never expected: resync by respawn
+                detail = f"reply seq {frame.seq} != {shard.seq}"
+                done.append((chunk, self._respawn(shard, detail)))
+                continue
+            self.idle.append(shard)
             if frame.op == OP_REPLY:
                 reports, delta = frame.payload
                 h = _obs.HOOKS
                 if h is not None and delta:
                     h.registry.merge(delta)
-                for i, report in enumerate(reports):
-                    slots[chunk[0] + i] = report
-                idle.append(shard)
+                done.append((chunk, ("ok", reports)))
             elif frame.op == OP_ERR:
-                idle.append(shard)
-                give_up(chunk, "exception", frame.payload)
+                done.append((chunk, ("exception", frame.payload)))
             else:
-                idle.append(shard)
-                give_up(chunk, "protocol", f"opcode {frame.op}")
-    return slots, failures
+                done.append((chunk, ("exception", f"opcode {frame.op}")))
+        return done
+
+    def kill_all(self) -> None:
+        """Abandon the running chunks, respawning their workers.
+
+        A respawned worker owes no reply, so an abandoned chunk's answer
+        can never be read as a later chunk's.
+        """
+        for shard, _chunk in self.live.values():
+            self._respawn(shard, "abandoned")
+        self.live.clear()
+
+    def _respawn(self, shard: Any, detail: str) -> Tuple[str, str]:
+        shard.alive = False
+        try:
+            self.idle.append(self.router.respawn(shard.id))
+        except Exception as exc:  # noqa: BLE001 — the chunk fails either way
+            detail = f"{detail}; respawn failed: {exc!r}"
+        return "worker-death", detail

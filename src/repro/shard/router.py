@@ -47,10 +47,12 @@ from __future__ import annotations
 import os
 import signal
 import time
+from collections import OrderedDict
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import multiprocessing as mp
 
+from ..engine.batch import CACHE_SIZE
 from ..obs import hooks as _obs
 from .placement import DEFAULT_REPLICAS, HashRing
 from .wire import (
@@ -101,7 +103,8 @@ class _Shard:
         self.journal: List[Tuple[str, Any, int]] = []
         self.snapshot: Optional[Dict[str, Any]] = None
         self.events_since_checkpoint = 0
-        self.langs: set = set()      # language keys installed in the worker
+        # language key -> acceptor installed in the worker, LRU order
+        self.langs: "OrderedDict[int, Any]" = OrderedDict()
         self.alive = True
         self.errors: List[str] = []
 
@@ -560,9 +563,22 @@ class ShardRouter:
 
     # -- decide-path support (used by repro.shard.pool) --------------------
     def install_language(self, shard: _Shard, key: int, kind: str, payload: Any) -> None:
-        if key not in shard.langs:
-            self._request(shard, OP_INSTALL_LANG, (key, kind, payload))
-            shard.langs.add(key)
+        """Make ``key`` resident in the worker, at most ``CACHE_SIZE`` keys.
+
+        The least recently used keys are evicted here and dropped by the
+        worker in the same install frame, so the parent's table and the
+        worker's always hold the same keys.  Holding the acceptor keeps
+        its ``id`` key from being recycled while the worker serves it.
+        """
+        langs = shard.langs
+        if key in langs:
+            langs.move_to_end(key)
+            return
+        drop = []
+        while len(langs) >= CACHE_SIZE:
+            drop.append(langs.popitem(last=False)[0])
+        self._request(shard, OP_INSTALL_LANG, (key, kind, payload, drop))
+        langs[key] = payload
 
     def respawn(self, shard_id: str) -> _Shard:
         """Kill-and-replace a worker with no state carryover (decide pool)."""

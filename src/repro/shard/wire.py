@@ -52,8 +52,8 @@ OP_RESTORE = 5       # mux snapshot → rebuild the mux from it
 OP_EXTRACT = 6       # [names] → {name: session entry} (removed from mux)
 OP_ADOPT = 7         # {name: session entry} → restored into the mux
 OP_CLOSE = 8         # (name, horizon|None) → SessionReport
-OP_INSTALL_LANG = 9  # (key, kind, payload) → warm a language artifact
-OP_DECIDE = 10       # (lang_key, lo, words, horizon, strategy, seed) → reports
+OP_INSTALL_LANG = 9  # (key, kind, payload, drop_keys) → warm a language artifact
+OP_DECIDE = 10       # (lang_key, lo, words, horizon, strategy, seed, metered) → reports
 OP_METRICS = 11      # () → registry delta dump
 OP_SHUTDOWN = 12     # () → final metrics delta, then the worker exits
 OP_EVICT = 13        # (now|None, idle_ttl|None) → evicted names

@@ -12,7 +12,8 @@ is the router's per-shard recovery path).  Everything expensive lives
 * the engine's :class:`~repro.engine.batch.AcceptorCache` — a language
   installed via ``OP_INSTALL_LANG`` is compiled once and then serves
   every subsequent ``OP_DECIDE`` chunk without recompilation or
-  re-pickling (the fork-per-batch pool paid that on *every call*);
+  re-pickling (the fork backend starts a fresh child per chunk on
+  *every call*);
 * the worker's own :class:`~repro.obs.Instrumentation` — metrics
   recorded here (``stream.*``, ``kernel.*``, ``engine.*``) are shipped
   to the parent as :class:`~repro.obs.DeltaDumper` deltas riding on
@@ -71,9 +72,9 @@ class _Worker:
         # design exists to keep resident.
         self.mux = mux_factory() if mux_factory is not None else None
         self.langs: Dict[int, Any] = {}
-        # The worker always runs instrumented: its metrics only reach a
-        # user if the parent pulls and merges them, and the cost of an
-        # idle registry is nil.
+        # The worker runs instrumented (a decide chunk excepted, when the
+        # parent has no hooks): its metrics only reach a user if the
+        # parent pulls and merges them, and an idle registry costs nil.
         self.inst = _obs_hooks.install(Instrumentation())
         self.delta = DeltaDumper(self.inst.registry)
         # Labeled by shard so merged parent registries keep the shards
@@ -151,27 +152,40 @@ class _Worker:
         return self._live_mux().evict_idle(now, idle_ttl)
 
     def on_install_lang(self, payload) -> bool:
-        key, kind, obj = payload
-        if key not in self.langs:
-            if kind == "tba":
-                # compiled once into the worker's warm engine LRU;
-                # every future OP_DECIDE for this key reuses it
-                self.langs[key] = compiled_tba(obj)
-            elif kind == "obj":
-                self.langs[key] = obj
-            else:
-                raise ValueError(f"unknown language kind {kind!r}")
+        key, kind, obj, drop = payload
+        # the router evicts in its own table and names the keys here
+        for old in drop:
+            self.langs.pop(old, None)
+        if kind == "tba":
+            # compiled once into the worker's warm engine LRU;
+            # every future OP_DECIDE for this key reuses it
+            self.langs[key] = compiled_tba(obj)
+        elif kind == "obj":
+            self.langs[key] = obj
+        else:
+            raise ValueError(f"unknown language kind {kind!r}")
+        self.inst.registry.gauge(
+            "shard.worker_langs", "languages installed in a decide worker"
+        ).labels(shard=self.shard_id).set(len(self.langs))
         return True
 
     def on_decide(self, payload) -> Any:
-        lang_key, lo, words, horizon, strategy_spec, seed = payload
+        lang_key, lo, words, horizon, strategy_spec, seed, metered = payload
         acceptor = self.langs[lang_key]
         strat = get_strategy(strategy_spec)
-        reports = [
-            _decide_one(acceptor, word, horizon, strat, seed, lo + i)
-            for i, word in enumerate(words)
-        ]
-        return reports, self.delta.delta()
+        if not metered:
+            # The parent has no hooks to merge this chunk's metrics
+            # into, so judge bare (counting costs ~20% per word) and
+            # leave the worker's other counts for the next pull.
+            _obs_hooks.uninstall()
+        try:
+            reports = [
+                _decide_one(acceptor, word, horizon, strat, seed, lo + i)
+                for i, word in enumerate(words)
+            ]
+        finally:
+            _obs_hooks.install(self.inst)
+        return reports, self.delta.delta() if metered else None
 
     def on_metrics(self, _payload) -> Any:
         if self.mux is not None:

@@ -166,3 +166,39 @@ def test_resilient_shards_heals_sigkill_mid_ladder():
     )
     assert out.mode == "shards"
     assert fingerprint(out.reports) == fingerprint(serial.reports)
+
+
+def test_language_tables_stay_bounded():
+    # More distinct languages than a table holds, none kept alive by the
+    # caller or the parent's compile cache: ids get recycled, so a stale
+    # entry would show as a wrong verdict (bound 2 rejects the gap-5
+    # words that bound 6 accepts).
+    from repro.engine.batch import CACHE_SIZE, clear_caches
+
+    words = make_words(2)  # one chunk per shard
+    with instrumented() as inst:
+        for i in range(CACHE_SIZE + 12):
+            tba = bounded_gap_tba(bound=2 if i % 2 else 6)
+            sharded = decide_many(tba, words, horizon=30, workers=2, backend="shards")
+            serial = decide_many(tba, words, horizon=30, backend="serial")
+            assert fingerprint(sharded) == fingerprint(serial)
+            clear_caches()
+    shards = shared_pool(2)._shards.values()  # the pool the loop used
+    assert [len(s.langs) for s in shards] == [CACHE_SIZE] * len(shards)
+    resident = inst.registry.gauge("shard.worker_langs").children()
+    assert [(g.value, g.peak) for g in resident] == [(CACHE_SIZE, CACHE_SIZE)] * len(shards)
+
+
+def test_workers_count_only_for_a_metered_parent():
+    # With no hooks in the parent nothing would merge a decide worker's
+    # counts, so the worker judges bare; with hooks it counts every word.
+    tba, words = bounded_gap_tba(), make_words(40)
+    decide_many(tba, words, horizon=200, workers=2, backend="shards")
+    with instrumented() as inst:
+        shared_pool().sync_metrics()
+        frames = inst.registry.counter("shard.worker_frames")
+        assert sum(c.value for c in frames.children()) > 0  # the pull worked
+        judged = inst.registry.counter("engine.words_judged")
+        assert sum(c.value for c in judged.children()) == 0
+        decide_many(tba, words, horizon=200, workers=2, backend="shards")
+        assert judged.labels(strategy="lasso-exact").value == len(words)

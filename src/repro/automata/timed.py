@@ -21,15 +21,18 @@ shape as :meth:`BuchiAutomaton.accepts_lasso`.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import (
     Any,
+    Callable,
     Dict,
     FrozenSet,
     Iterable,
     List,
     Optional,
+    Sequence,
     Set,
     Tuple,
 )
@@ -37,10 +40,14 @@ from typing import (
 from ..kernel.clock import And, ClockConstraint, Ge, Le, Not, TrueConstraint
 from ..words.timedword import TimedWord
 
-__all__ = ["TimedTransition", "TimedBuchiAutomaton", "max_constant"]
+__all__ = ["TimedTransition", "TimedBuchiAutomaton", "max_constant", "gap_mask"]
 
 State = Any
 Symbol = Any
+Config = Tuple[State, Tuple[int, ...]]
+
+#: A lowered guard: capped valuation -> bitmask over the gap classes.
+GapMask = Callable[[Tuple[int, ...]], int]
 
 
 @dataclass(frozen=True)
@@ -75,6 +82,68 @@ def max_constant(guard: ClockConstraint) -> int:
     if isinstance(guard, And):
         return max(max_constant(guard.left), max_constant(guard.right))
     return 0
+
+
+def gap_mask(
+    guard: ClockConstraint,
+    clocks: Tuple[str, ...],
+    cap: int,
+    memo: Optional[Dict[ClockConstraint, GapMask]] = None,
+) -> GapMask:
+    """Lower a Φ(X) guard to ν ↦ the gap classes ``g`` in ``0..cap``
+    (bit ``g`` of the mask) under which it holds of ``min(ν + g, cap)``.
+
+    Integer time makes each atom a threshold on ``g``: ``x ≤ b`` holds
+    for ``g ≤ ⌊b⌋ − ν(x)`` and ``b ≤ x`` for ``g ≥ ⌈b⌉ − ν(x)``.  Both
+    stay exact under the cap while ``⌊b⌋ < cap`` (resp. ``⌈b⌉ ≤ cap``),
+    which ``cap = cmax + 1`` guarantees for integer constants; past it
+    the atom is constant.  ``¬`` and ``∧`` are bit operations, so a
+    guard costs one evaluation per valuation instead of one per gap.
+    Equal sub-guards share one lowering through ``memo`` (product
+    automata repeat them across thousands of transitions).
+    """
+    if memo is None:
+        memo = {}
+    got = memo.get(guard)
+    if got is None:
+        got = memo[guard] = _lower(guard, clocks, cap, memo)
+    return got
+
+
+def _lower(
+    guard: ClockConstraint,
+    clocks: Tuple[str, ...],
+    cap: int,
+    memo: Dict[ClockConstraint, GapMask],
+) -> GapMask:
+    full = (1 << (cap + 1)) - 1
+    if isinstance(guard, TrueConstraint):
+        return lambda vals: full
+    if isinstance(guard, Le):
+        i = clocks.index(guard.clock)
+        b = math.floor(guard.bound)
+        if b >= cap:
+            return lambda vals: full
+        return lambda vals: (1 << max(0, b - vals[i] + 1)) - 1
+    if isinstance(guard, Ge):
+        i = clocks.index(guard.clock)
+        b = math.ceil(guard.bound)
+        if b > cap:
+            return lambda vals: 0
+
+        def at_least(vals: Tuple[int, ...]) -> int:
+            k = max(0, b - vals[i])
+            return full >> k << k
+
+        return at_least
+    if isinstance(guard, Not):
+        inner = gap_mask(guard.inner, clocks, cap, memo)
+        return lambda vals: full ^ inner(vals)
+    if isinstance(guard, And):
+        left = gap_mask(guard.left, clocks, cap, memo)
+        right = gap_mask(guard.right, clocks, cap, memo)
+        return lambda vals: left(vals) & right(vals)
+    raise TypeError(f"cannot lower guard {guard!r} to gap classes")
 
 
 class TimedBuchiAutomaton:
@@ -143,6 +212,69 @@ class TimedBuchiAutomaton:
                 )
                 out.add((tr.target, nxt))
         return out
+
+    def gap_relation(
+        self, symbols: Sequence[Symbol]
+    ) -> Callable[[Config], List[List[Tuple[Config, ...]]]]:
+        """The successor relation over every gap class, one config at a time.
+
+        Returns ``successors`` with ``successors(config)[k][g]`` holding,
+        without repeats, the configurations
+        ``_step_configs({config}, symbols[k], g)`` returns, for every
+        gap class ``g`` in ``0..cmax+1``.  Guards are lowered here, once
+        (:func:`gap_mask`), and evaluated once per (config, transition);
+        only the enabled gap classes build a successor.  The lowered
+        guards live as long as the returned function.
+        """
+        cap = self._cmax + 1
+        memo: Dict[ClockConstraint, GapMask] = {}
+        lowered = {
+            key: [
+                (
+                    tr.target,
+                    tuple(c in tr.resets for c in self.clocks),
+                    gap_mask(tr.guard, self.clocks, cap, memo),
+                )
+                for tr in trs
+            ]
+            for key, trs in self._by_source.items()
+        }
+        zeros = [0] * (cap + 1)
+        empty: Tuple[Config, ...] = ()
+
+        def successors(config: Config) -> List[List[Tuple[Config, ...]]]:
+            state, vals = config
+            # Per clock, its value after +g for every g; then, per reset
+            # pattern, the valuations after (+g, reset) for every g.
+            columns = [list(range(v, cap)) + [cap] * (v + 1) for v in vals]
+            views: Dict[Tuple[bool, ...], List[Tuple[int, ...]]] = {}
+            out: List[List[Tuple[Config, ...]]] = []
+            for symbol in symbols:
+                cells = [empty] * (cap + 1)
+                for target, resets, mask_of in lowered.get((state, symbol), ()):
+                    mask = mask_of(vals)
+                    if not mask:
+                        continue
+                    view = views.get(resets)
+                    if view is None:
+                        view = views[resets] = (
+                            list(zip(*(zeros if r else col for col, r in zip(columns, resets))))
+                            if vals
+                            else [()] * (cap + 1)
+                        )
+                    lo = (mask & -mask).bit_length() - 1
+                    for g in range(lo, mask.bit_length()):
+                        if mask >> g & 1:
+                            nxt = (target, view[g])
+                            cell = cells[g]
+                            if not cell:
+                                cells[g] = (nxt,)
+                            elif nxt not in cell:
+                                cells[g] = cell + (nxt,)
+                out.append(cells)
+            return out
+
+        return successors
 
     def configs_after_prefix(
         self, word: TimedWord, n: int, capped: bool = True

@@ -20,12 +20,16 @@ numpy artifacts so that stepping becomes array lookups:
   (capped valuations make larger gaps indistinguishable — the discrete
   region argument of :mod:`repro.automata.timed`).
 * **Successor bitsets** — for nondeterministic stepping,
-  ``succ_bits[config, symbol, gap_class]`` is the successor *set* as a
-  packed uint64 bitset (mirrored as Python ints in ``succ_int`` for
-  the scalar loop, where arbitrary-precision ``int`` or-ing beats
-  per-word numpy calls).  The analysis' liveness backward-closure and
-  green forward-closure land in matching flag arrays / masks, so the
-  three-valued judgement is two boolean lookups.
+  ``succ_int[config][symbol][gap_class]`` is the successor *set* as a
+  Python-int bitset (arbitrary-precision ``int`` or-ing beats per-word
+  numpy calls in the scalar loop); equal cells share one int.  The
+  analysis' liveness backward-closure and green forward-closure land
+  in matching flag arrays / masks, so the three-valued judgement is
+  two boolean lookups.
+
+Both are read off the analysis' gap-class rows
+(:class:`~repro.stream.monitor.TBAAnalysis`), so compiling re-runs no
+part of the successor relation.
 
 :func:`compiled_for` is the gated entry point: it returns ``None`` —
 and the monitors fall back to the interpreter, verdict-identically —
@@ -93,10 +97,9 @@ class CompiledTBA:
         int32 ``(n+1, S+1, G)`` deterministic successor table (numpy
         array and its nested-list mirror for the scalar hot loop);
         ``None`` when the stepping relation is nondeterministic.
-    ``succ_bits`` / ``succ_int``
-        uint64 ``(n, S, G, words)`` packed successor bitsets and their
-        Python-int mirrors ``[config][symbol][gap]``; always built for
-        nondeterministic automata, skipped for deterministic ones.
+    ``succ_int``
+        Python-int successor bitsets ``[config][symbol][gap]`` for
+        nondeterministic automata; ``None`` for deterministic ones.
     ``accepting_flags`` / ``live_flags`` / ``green_flags``
         bool ``(n+1,)`` flag arrays (trap row False) with nested-list
         mirrors ``*_list`` and packed-int masks ``*_mask``.
@@ -113,7 +116,7 @@ class CompiledTBA:
             analysis.universe, key=repr
         )
         self.index: Dict[Any, int] = {c: i for i, c in enumerate(self.configs)}
-        self.symbols: List[Any] = sorted(tba.alphabet, key=repr)
+        self.symbols: List[Any] = analysis.symbols
         self.sym_index: Dict[Any, int] = {s: i for i, s in enumerate(self.symbols)}
         self.gap_cap = tba._cmax + 1
         n = len(self.configs)
@@ -123,26 +126,9 @@ class CompiledTBA:
         self.n_symbols = S
         self.n_gaps = G
         self.trap = n
-        words = (n + 63) // 64 if n else 1
-        self.n_words = words
-
-        # Successor sets per (config, symbol, gap-class), via the
-        # interpreter once — the last time it runs for this automaton.
-        succs: List[List[List[Tuple[int, ...]]]] = []
-        deterministic = True
-        for c in self.configs:
-            per_sym: List[List[Tuple[int, ...]]] = []
-            for a in self.symbols:
-                per_gap: List[Tuple[int, ...]] = []
-                for g in range(G):
-                    out = tba._step_configs({c}, a, g)
-                    idxs = tuple(sorted(self.index[s] for s in out))
-                    if len(idxs) > 1:
-                        deterministic = False
-                    per_gap.append(idxs)
-                per_sym.append(per_gap)
-            succs.append(per_sym)
-        self.deterministic = deterministic
+        self.deterministic = analysis.deterministic
+        # analysis (BFS) index -> repr-sorted index
+        perm = [self.index[c] for c in analysis.configs]
 
         flags = np.zeros(n + 1, dtype=bool)
         for i, c in enumerate(self.configs):
@@ -161,34 +147,26 @@ class CompiledTBA:
         self.live_mask = self._pack(self.live_flags[:n])
         self.green_mask = self._pack(self.green_flags[:n])
 
-        if deterministic:
-            table = np.full((n + 1, S + 1, G), self.trap, dtype=np.int32)
-            for i in range(n):
-                for si in range(S):
-                    for g in range(G):
-                        cell = succs[i][si][g]
-                        if cell:
-                            table[i, si, g] = cell[0]
-            self.table = table
-            self.table_list = table.tolist()
-            self.succ_bits = None
+        trap = self.trap
+        if self.deterministic:
+            table_list: List[Any] = [None] * (n + 1)
+            for i, per_symbol in enumerate(analysis.rows):
+                table_list[perm[i]] = [
+                    [perm[cell[0]] if cell else trap for cell in row]
+                    for row in per_symbol
+                ] + [[trap] * G]
+            table_list[trap] = [[trap] * G for _ in range(S + 1)]
+            self.table = np.array(table_list, dtype=np.int32)
+            self.table_list = table_list
             self.succ_int = None
         else:
-            bits = np.zeros((n, S, G, words), dtype=np.uint64)
-            succ_int: List[List[List[int]]] = []
-            for i in range(n):
-                per_sym_int: List[List[int]] = []
-                for si in range(S):
-                    per_gap_int: List[int] = []
-                    for g in range(G):
-                        mask = 0
-                        for j in succs[i][si][g]:
-                            mask |= 1 << j
-                            bits[i, si, g, j >> 6] |= np.uint64(1 << (j & 63))
-                        per_gap_int.append(mask)
-                    per_sym_int.append(per_gap_int)
-                succ_int.append(per_sym_int)
-            self.succ_bits = bits
+            masks = {
+                cell: sum(1 << perm[j] for j in cell)
+                for cell in {c for per in analysis.rows for row in per for c in row}
+            }
+            succ_int: List[Any] = [None] * n
+            for i, per_symbol in enumerate(analysis.rows):
+                succ_int[perm[i]] = [[masks[c] for c in row] for row in per_symbol]
             self.succ_int = succ_int
             self.table = None
             self.table_list = None

@@ -67,7 +67,6 @@ Observability (``docs/observability.md``): ``stream.events_ingested``
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from enum import Enum
 from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
 
@@ -376,7 +375,15 @@ class TBAAnalysis:
     Discrete time caps clock values at cmax+1 (see
     :mod:`repro.automata.timed`), so gap classes ``0..cmax+1`` exhaust
     all inter-arrival behaviours and the graph of configurations under
-    every (symbol, gap-class) edge is finite.  On it we precompute:
+    every (symbol, gap-class) edge is finite.  One breadth-first pass
+    builds it: :meth:`TimedBuchiAutomaton.gap_relation` yields every
+    gap class of a (config, symbol) pair at once, and the pass stores
+    the result as ``rows[i][k][g]`` — the successor indices (into
+    ``configs``) of ``configs[i]`` on ``(symbols[k], +g)``.  Adjacency,
+    determinism and totality are read from those rows, and
+    :class:`~repro.stream.compiled.CompiledTBA` compiles its tables
+    from them; nothing in the build calls the interpreter.  On the
+    graph we precompute:
 
     * ``live`` — configurations from which an accepting cycle is
       reachable.  A configuration set disjoint from ``live`` has *no*
@@ -391,8 +398,7 @@ class TBAAnalysis:
       successors.
 
     ``deterministic`` is *semantic*: at most one successor per
-    (configuration, symbol, gap-class), measured on the reachable graph
-    during the BFS — the same notion :class:`CompiledTBA` uses.
+    (configuration, symbol, gap-class) on the reachable graph.
     Guard-disjoint multi-edges (the multi-query plan's completed
     product automata are full of them) therefore still qualify for
     dense-table stepping and green guarantees.
@@ -411,109 +417,159 @@ class TBAAnalysis:
             # (tests/test_stream_compiled.py asserts on this counter).
             h.count("stream.analysis_builds")
         self.tba = tba
-        self._gap_classes = range(tba._cmax + 2)
+        self.symbols: List[Any] = sorted(tba.alphabet, key=repr)
         init = tba._initial_config()
-        adjacency: Dict[Config, Set[Config]] = {}
-        universe: Set[Config] = {init}
-        frontier = deque([init])
+        configs: List[Config] = [init]
+        rows: List[List[Tuple[Tuple[int, ...], ...]]] = []
+        # Equal cells and rows share one tuple: most rows repeat.
+        single: Dict[Config, Tuple[int]] = {init: (0,)}
+        pool: Dict[Any, Any] = {}
         deterministic = True
-        while frontier:
-            c = frontier.popleft()
-            succs: Set[Config] = set()
-            for a in tba.alphabet:
-                for g in self._gap_classes:
-                    out = tba._step_configs({c}, a, g)
-                    if len(out) > 1:
+        successors = tba.gap_relation(self.symbols)
+        for config in configs:  # the list grows as the BFS queue
+            per_symbol = []
+            for cells in successors(config):
+                row = []
+                for cell in cells:
+                    ids: Tuple[int, ...] = ()
+                    for s in cell:
+                        j = single.get(s)
+                        if j is None:
+                            j = single[s] = (len(configs),)
+                            configs.append(s)
+                        ids = ids + j if ids else j
+                    if len(ids) > 1:
                         deterministic = False
-                    succs |= out
-            adjacency[c] = succs
-            for s in succs:
-                if s not in universe:
-                    universe.add(s)
-                    frontier.append(s)
-        self.universe: FrozenSet[Config] = frozenset(universe)
-        self.adjacency = adjacency
-        reverse: Dict[Config, Set[Config]] = {c: set() for c in universe}
-        for c, succs in adjacency.items():
-            for s in succs:
-                reverse[s].add(c)
-        self._reverse = reverse
+                        key = tuple(sorted(ids))
+                        ids = pool.setdefault(key, key)
+                    row.append(ids)
+                key = tuple(row)
+                per_symbol.append(pool.setdefault(key, key))
+            rows.append(per_symbol)
+        self.configs = configs
+        self.index: Dict[Config, int] = {c: ids[0] for c, ids in single.items()}
+        self.rows = rows
         self.deterministic = deterministic
+        self.universe: FrozenSet[Config] = frozenset(configs)
+        succ: List[List[int]] = []
+        reverse: List[List[int]] = [[] for _ in configs]
+        for i, per_symbol in enumerate(rows):
+            cells = {cell for row in set(per_symbol) for cell in row}
+            out = list({j for cell in cells for j in cell})
+            succ.append(out)
+            for j in out:
+                reverse[j].append(i)
+        self._succ = succ
+        self._reverse = reverse
         self.accepting: FrozenSet[Config] = frozenset(
-            c for c in universe if c[0] in tba.accepting
+            c for c in configs if c[0] in tba.accepting
         )
-        self._cycle_cache: Dict[Config, bool] = {}
-        self._total: Optional[
-            Tuple[FrozenSet[Config], Dict[Config, Set[Config]], Dict[Config, Set[Config]]]
-        ] = None
+        self._cyclic: Optional[List[bool]] = None
+        self._total: Optional[Set[int]] = None
         self.live: FrozenSet[Config] = self.live_for(self.accepting)
         self.green: FrozenSet[Config] = self.green_for(self.accepting)
+
+    def _decode(self, ids: Any) -> FrozenSet[Config]:
+        configs = self.configs
+        return frozenset(configs[i] for i in ids)
+
+    @staticmethod
+    def _backward(seeds: Any, reverse: List[List[int]]) -> Set[int]:
+        """``seeds`` plus every index that can reach one of them."""
+        seen = set(seeds)
+        stack = list(seen)
+        while stack:
+            for p in reverse[stack.pop()]:
+                if p not in seen:
+                    seen.add(p)
+                    stack.append(p)
+        return seen
 
     def live_for(self, accepting: FrozenSet[Config]) -> FrozenSet[Config]:
         """Configurations with an accepting continuation w.r.t. an
         alternative accepting set over the same universe (backward
         closure of its recurrent members)."""
-        recurrent = {c for c in accepting if self._on_cycle(c)}
-        live: Set[Config] = set(recurrent)
-        queue = deque(recurrent)
-        while queue:
-            c = queue.popleft()
-            for p in self._reverse[c]:
-                if p not in live:
-                    live.add(p)
-                    queue.append(p)
-        return frozenset(live)
+        cyclic = self._on_cycle()
+        index = self.index
+        recurrent = [i for i in (index[c] for c in accepting) if cyclic[i]]
+        return self._decode(self._backward(recurrent, self._reverse))
 
-    def _on_cycle(self, c: Config) -> bool:
-        hit = self._cycle_cache.get(c)
-        if hit is not None:
-            return hit
-        seen: Set[Config] = set()
-        queue = deque(self.adjacency[c])
-        found = False
-        while queue:
-            d = queue.popleft()
-            if d == c:
-                found = True
-                break
-            if d in seen:
+    def _on_cycle(self) -> List[bool]:
+        """``cyclic[i]``: ``configs[i]`` lies on a cycle (a strongly
+        connected component of two or more, or a self-loop).  One
+        iterative Tarjan pass, cached for every projection."""
+        if self._cyclic is not None:
+            return self._cyclic
+        succ = self._succ
+        n = len(succ)
+        order = [-1] * n
+        low = [0] * n
+        on_stack = [False] * n
+        cyclic = [False] * n
+        stack: List[int] = []
+        counter = 0
+        for root in range(n):
+            if order[root] >= 0:
                 continue
-            seen.add(d)
-            queue.extend(self.adjacency[d])
-        self._cycle_cache[c] = found
-        return found
+            order[root] = low[root] = counter
+            counter += 1
+            stack.append(root)
+            on_stack[root] = True
+            work = [(root, 0)]
+            while work:
+                v, k = work[-1]
+                if k < len(succ[v]):
+                    work[-1] = (v, k + 1)
+                    w = succ[v][k]
+                    if order[w] < 0:
+                        order[w] = low[w] = counter
+                        counter += 1
+                        stack.append(w)
+                        on_stack[w] = True
+                        work.append((w, 0))
+                    elif on_stack[w] and order[w] < low[v]:
+                        low[v] = order[w]
+                    continue
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                if low[v] != order[v]:
+                    continue
+                component = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    component.append(w)
+                    if w == v:
+                        break
+                if len(component) > 1 or v in succ[v]:
+                    for w in component:
+                        cyclic[w] = True
+        self._cyclic = cyclic
+        return cyclic
 
-    def _totality(self):
+    def _totality(self) -> Set[int]:
         """The accepting-independent half of the green computation:
         the greatest fixpoint of totality (every (symbol, gap-class)
-        has a successor that itself stays total), its induced
-        subgraph, and that subgraph's reverse — computed once and
-        shared by every :meth:`green_for` projection."""
-        if self._total is not None:
-            return self._total
-        tba = self.tba
-        cells: Dict[Config, List[Set[Config]]] = {}
-        for c in self.universe:
-            cells[c] = [
-                tba._step_configs({c}, a, g)
-                for a in tba.alphabet
-                for g in self._gap_classes
+        has a successor that itself stays total), computed once and
+        shared by every :meth:`green_for` projection.
+
+        Only called for deterministic stepping, where each cell has at
+        most one successor: a configuration is total iff none of its
+        cells is empty and all its successors are total, so the
+        complement is the backward closure of the configurations with
+        an empty cell, and the total set is closed under successors.
+        """
+        if self._total is None:
+            stuck = [
+                i
+                for i, per_symbol in enumerate(self.rows)
+                if any(not cell for row in set(per_symbol) for cell in row)
             ]
-        total = set(self.universe)
-        changed = True
-        while changed:
-            changed = False
-            for c in list(total):
-                ok = all(any(s in total for s in cell) for cell in cells[c])
-                if not ok:
-                    total.discard(c)
-                    changed = True
-        sub = {c: {s for s in self.adjacency[c] if s in total} for c in total}
-        reverse_sub: Dict[Config, Set[Config]] = {c: set() for c in total}
-        for c, succs in sub.items():
-            for s in succs:
-                reverse_sub[s].add(c)
-        self._total = (frozenset(total), sub, reverse_sub)
+            partial = self._backward(stuck, self._reverse)
+            self._total = set(range(len(self.configs))) - partial
         return self._total
 
     def green_for(self, accepting: FrozenSet[Config]) -> FrozenSet[Config]:
@@ -522,31 +578,31 @@ class TBAAnalysis:
         deterministic — the guarantee reading needs a unique run)."""
         if not self.deterministic:
             return frozenset()
-        total, sub, reverse_sub = self._totality()
+        total = self._totality()
         if not total:
             return frozenset()
+        succ, reverse = self._succ, self._reverse
         # Configurations with an infinite F-avoiding path: trim the
         # non-accepting induced subgraph down to nodes that still have a
         # non-accepting successor (leaves only paths into cycles).
-        bad = {c for c in total if c not in accepting}
-        changed = True
-        while changed:
-            changed = False
-            for c in list(bad):
-                if not any(s in bad for s in sub[c]):
-                    bad.discard(c)
-                    changed = True
-        # Anything that can reach such a path — through F or not — has a
-        # rejecting continuation.
-        unsafe = set(bad)
-        queue = deque(bad)
+        acc = {self.index[c] for c in accepting}
+        bad = total - acc
+        count = {i: sum(j in bad for j in succ[i]) for i in bad}
+        queue = [i for i, k in count.items() if not k]
+        bad.difference_update(queue)
         while queue:
-            c = queue.popleft()
-            for p in reverse_sub[c]:
-                if p not in unsafe:
-                    unsafe.add(p)
-                    queue.append(p)
-        return frozenset(total - unsafe)
+            for p in reverse[queue.pop()]:
+                if p in bad:
+                    count[p] -= 1
+                    if not count[p]:
+                        bad.discard(p)
+                        queue.append(p)
+        # Anything that can reach such a path — through F or not — has a
+        # rejecting continuation.  (Predecessors of a non-total
+        # configuration are never total, so the unrestricted backward
+        # closure leaves the total set only where it never re-enters.)
+        unsafe = self._backward(bad, reverse)
+        return self._decode(total - unsafe)
 
 
 def analysis_for(tba: TimedBuchiAutomaton) -> TBAAnalysis:

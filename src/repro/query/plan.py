@@ -20,11 +20,12 @@ product run's channel-q projection is exactly component q's run, so
 :meth:`TBAAnalysis.live_for` / ``green_for`` re-derive each channel's
 liveness/guarantee sets over the one shared configuration universe and
 :meth:`~repro.stream.compiled.CompiledTBA.flag_view` turns them into
-flag rows over the one shared table.  Crucially the per-event cost of
-a channel is *zero*: channel REJECTED (out of ``live_q``) and the
+flag rows over the one shared table.  Crucially a channel adds no
+per-event judgement: channel REJECTED (out of ``live_q``) and the
 green guarantee are both **forward-closed** — the current state alone
-decides them — and accept recency derives from per-state visit
-bookkeeping (two O(1) writes per event), so :class:`PlanMonitor`
+decides them — and accept recency derives from per-channel books (a
+last-accept time and a visit count, written only for the channels
+accepting where an event lands), so :class:`PlanMonitor`
 judges channels lazily at read time.  The verdict streams are pinned
 identical to k independent per-query monitors by the conformance
 harness (``--gen query``) and ``tests/test_query_plan.py``.
@@ -63,10 +64,14 @@ from ..spec.combinators import (
 from ..spec.compile import _and_fold, _rename_clocks, to_tba
 from ..stream.compiled import compiled_for
 from ..stream.monitor import (
+    NF,
+    PT,
+    ST,
+    VERDICTS,
     StreamVerdict,
     TBAMonitor,
-    _BaseMonitor,
     analysis_for,
+    judge,
 )
 from .builder import Query
 
@@ -300,7 +305,7 @@ class QueryPlan:
                 )
         #: Lazily-built per-channel flag views for :attr:`compiled`
         #: (shared read-only by every :class:`PlanMonitor`).
-        self._views: Optional[Tuple[List[Any], List[List[int]]]] = None
+        self._views: Optional[Tuple[List[Any], List[Tuple[int, ...]]]] = None
         h = _obs.HOOKS
         if h is not None:
             h.count("query.plans")
@@ -309,20 +314,22 @@ class QueryPlan:
     def __len__(self) -> int:
         return len(self.names)
 
-    def channel_views(self, comp: Any) -> Tuple[List[Any], List[List[int]]]:
-        """Per-channel ``(acc, live, green)`` flag lists and accepting
-        state indices against one compiled artifact — plan-level
-        constants, built once and shared by every monitor (building
-        them per session would dominate session setup)."""
+    def channel_views(self, comp: Any) -> Tuple[List[Any], List[Tuple[int, ...]]]:
+        """Per-channel ``(acc, live, green)`` flag lists and, per state
+        index, the channels accepting there — plan-level constants
+        against one compiled artifact, built once and shared by every
+        monitor (building them per session would dominate session
+        setup)."""
         if comp is self.compiled and self._views is not None:
             return self._views
         flags = [comp.flag_view(*self.channels[name]) for name in self.names]
-        acc_idx = [
-            [i for i, f in enumerate(acc) if f] for acc, _lv, _gr in flags
+        chan = [
+            tuple(q for q, (acc, _lv, _gr) in enumerate(flags) if acc[i])
+            for i in range(comp.n_configs + 1)
         ]
         if comp is self.compiled:
-            self._views = (flags, acc_idx)
-        return flags, acc_idx
+            self._views = (flags, chan)
+        return flags, chan
 
     def monitor(self, **kwargs: Any) -> "PlanMonitor":
         """A per-session :class:`PlanMonitor` over the shared plan
@@ -361,7 +368,7 @@ class QueryPlan:
 
 
 class PlanMonitor(TBAMonitor):
-    """One monitor, k verdict channels, O(1) extra work per event.
+    """One monitor, k verdict channels, one table step per event.
 
     The base-class machinery (watermark, reorder heap, compiled
     stepping, headline verdict) runs on the plan's product automaton;
@@ -369,9 +376,9 @@ class PlanMonitor(TBAMonitor):
     channel is dead — and :meth:`query_verdicts` is the real output.
 
     Channels are judged *lazily*.  Per applied event the monitor
-    records only per-state occupancy (visit count and last-visit time
-    for the state it landed in — two O(1) writes).  At read time a
-    channel's LTL₃ verdict derives exactly:
+    records only, for each channel accepting at the state it landed
+    in, that channel's last-accept time and visit count.  At read time
+    a channel's LTL₃ verdict derives exactly:
 
     * REJECTED iff the current state is outside ``live_q`` — sound to
       read off the *current* state alone because the complement of a
@@ -379,21 +386,20 @@ class PlanMonitor(TBAMonitor):
       dies it cannot revive, so no history is needed);
     * the green guarantee likewise: ``green`` is closed under
       successors, so the lock *is* the current state's flag;
-    * accept recency (the f-obligation outside green) is the latest
-      last-visit time over the channel's accepting states, compared
-      against ``f_window`` at the last applied timestamp — the same
-      instant the eager per-event judgement would have used.
+    * accept recency (the f-obligation outside green) is the channel's
+      last-accept time — time never decreases within a session, so the
+      latest visit to any of its accepting states is all it takes —
+      compared against ``f_window`` at the last applied timestamp, the
+      same instant the eager per-event judgement would have used.
 
-    This keeps the per-event cost independent of k, which is where the
-    plan's throughput win over k separate monitors comes from.
-
-    Checkpointing is not supported (the v1 snapshot format does not
-    carry the occupancy ledger) —
-    :func:`repro.stream.checkpoint.checkpoint` refuses rather than
-    silently dropping the channels.
+    This keeps the per-event cost to one table step plus a write per
+    accepting channel, which is where the plan's throughput win over k
+    separate monitors comes from.  The
+    per-channel books are packed-row columns (``NF`` onwards, see
+    :mod:`repro.stream.monitor`), so a
+    :class:`~repro.stream.session.SessionMux` session-table row holds a
+    planned session whole and checkpoints carry them.
     """
-
-    _wave_custom = True
 
     def __init__(
         self,
@@ -414,213 +420,60 @@ class PlanMonitor(TBAMonitor):
             f_window=f_window,
             compiled=compiled,
         )
+        #: Per-channel last-accept times (-1: never) and accept visits.
+        self._ch_lat: List[int] = [-1] * len(plan.names)
+        self._ch_visits: List[int] = [0] * len(plan.names)
         comp = self._compiled
         if comp is not None and comp.deterministic:
-            n = comp.n_configs
-            #: Per-state occupancy: visit counts and last-visit times,
-            #: indexed like the compiled table (trap row included).
-            self._svc: Any = [0] * (n + 1)
-            self._slt: Any = [None] * (n + 1)
-            #: Per-channel flag views and accepting state indices —
+            #: Per-channel flag views and per-state accepting channels —
             #: plan-level constants shared across sessions.
-            views = plan.channel_views(comp)
-            self._ch_flags: Optional[List[Any]] = views[0]
-            self._ch_acc_idx: Optional[List[List[int]]] = views[1]
+            self._ch_flags, self._chan = plan.channel_views(comp)
             self._ch_sets = None
         else:
-            self._svc = {}
-            self._slt = {}
             self._ch_flags = None
-            self._ch_acc_idx = None
             self._ch_sets = [plan.channels[name] for name in self._ch_names]
-
-    # -- occupancy bookkeeping ---------------------------------------------
-    def _record(self, t: int) -> None:
-        if self._ch_flags is not None:
-            ci = self._ci
-            self._svc[ci] += 1
-            self._slt[ci] = t
-        else:
-            for c in self._configs:
-                self._svc[c] = self._svc.get(c, 0) + 1
-                self._slt[c] = t
 
     def _advance(self, symbol: Any, t: int) -> None:
         if self.verdict is StreamVerdict.REJECTED:
             return
         super()._advance(symbol, t)
-        self._record(t)
-
-    def ingest_many(self, events) -> StreamVerdict:
-        """The compiled bulk scan plus the two occupancy writes.
-
-        Same eligibility and semantics as ``TBAMonitor.ingest_many``
-        (on-time, in-order, compiled deterministic, no buffering);
-        otherwise the generic loop routes every event through
-        :meth:`_advance`, which records occupancy too.
-        """
-        comp = self._compiled
-        if (
-            comp is None
-            or not comp.deterministic
-            or self.lateness != 0
-            or self._heap
-        ):
-            return _BaseMonitor.ingest_many(self, events)
-        if not isinstance(events, (list, tuple)):
-            events = list(events)
-        table = comp.table_list
-        get = comp.sym_index.get
-        unknown = comp.n_symbols
-        cap = comp.gap_cap
-        acc = comp.accepting_list
-        live = comp.live_list
-        green = comp.green_list
-        svc = self._svc
-        slt = self._slt
-        ci = self._ci
-        pt = self.prev_t
-        ms = self.max_seen
-        visits = self.accept_visits
-        lat = self._last_accept_time
-        glock = self._green_locked
-        fw = self.f_window
-        verdict = self.verdict
-        REJ = StreamVerdict.REJECTED
-        ACC = StreamVerdict.ACCEPTING
-        INC = StreamVerdict.INCONCLUSIVE
-        rejected = verdict is REJ
-        applied = 0
-        resume = False
-        wm = -1 if ms is None else ms
-        for symbol, t in events:
-            if t < wm or t < 0:
-                resume = True
-                break
-            applied += 1
-            wm = t
-            if rejected:
-                continue
-            gap = t - pt
-            pt = t
-            row = table[ci][get(symbol, unknown)]
-            ci = row[gap] if gap <= cap else row[cap]
-            svc[ci] += 1
-            slt[ci] = t
-            if acc[ci]:
-                visits += 1
-                lat = t
-            if not live[ci]:
-                rejected = True
-                self._set_verdict(REJ)
-                verdict = REJ
-                continue
-            if glock or green[ci]:
-                glock = True
-                if verdict is not ACC:
-                    self._set_verdict(ACC)
-                    verdict = ACC
-            elif lat is not None and (fw is None or t - lat <= fw):
-                if verdict is not ACC:
-                    self._set_verdict(ACC)
-                    verdict = ACC
-            elif verdict is not INC:
-                self._set_verdict(INC)
-                verdict = INC
-        self._ci = ci
-        self.prev_t = pt
-        if wm >= 0:
-            self.max_seen = wm
-        self.accept_visits = visits
-        self._last_accept_time = lat
-        self._green_locked = glock
-        self.events_ingested += applied
-        self.events_released += applied
-        self._seq += applied
-        h = _obs.HOOKS
-        if h is not None and applied:
-            h.count("stream.events_ingested", applied, outcome="ok")
-            h.count("stream.events_released", applied)
-            h.count("stream.compiled_steps", applied, path="bulk")
-        if resume:
-            for symbol, t in events[applied:]:
-                self.ingest(symbol, t)
-        return self.verdict
-
-    def _apply_wave(self, ci: int, t: int) -> None:
-        """Apply one already-gathered wave step (the mux computed the
-        successor index through the shared table; this does the base
-        bookkeeping ``SessionMux._step_waves`` would inline for a plain
-        monitor, plus the occupancy writes)."""
-        self._ci = ci
-        self.prev_t = t
-        self.max_seen = t
-        self.events_ingested += 1
-        self.events_released += 1
-        self._seq += 1
-        comp = self._compiled
-        self._svc[ci] += 1
-        self._slt[ci] = t
-        if comp.accepting_list[ci]:
-            self.accept_visits += 1
-            self._last_accept_time = t
-        if not comp.live_list[ci]:
-            self._set_verdict(StreamVerdict.REJECTED)
-            return
-        if comp.green_list[ci]:
-            self._green_locked = True
-        if self._green_locked or (
-            self._last_accept_time is not None
-            and (
-                self.f_window is None
-                or t - self._last_accept_time <= self.f_window
-            )
-        ):
-            self._set_verdict(StreamVerdict.ACCEPTING)
+        if self._chan is not None:
+            hit = self._chan[self._ci]
         else:
-            self._set_verdict(StreamVerdict.INCONCLUSIVE)
+            cs = self.configs
+            hit = [q for q, (acc_s, _l, _g) in enumerate(self._ch_sets) if cs & acc_s]
+        for q in hit:
+            self._ch_lat[q] = t
+            self._ch_visits[q] += 1
+
+    def _pack(self) -> List[Any]:
+        return super()._pack() + self._ch_lat + self._ch_visits
+
+    def _unpack(self, v: List[Any]) -> None:
+        super()._unpack(v)
+        k = len(self._ch_names)
+        self._ch_lat = v[NF : NF + k]
+        self._ch_visits = v[NF + k :]
 
     # -- channel judgement (derived at read time) --------------------------
-    def _channel_verdict(self, q: int) -> StreamVerdict:
-        now = self.prev_t
-        fw = self.f_window
-        flags = self._ch_flags
-        if flags is not None:
-            ci = self._ci
-            _acc, lv, gr = flags[q]
-            if not lv[ci]:
-                return StreamVerdict.REJECTED
-            if gr[ci]:
-                return StreamVerdict.ACCEPTING
-            slt = self._slt
-            lat: Optional[int] = None
-            for i in self._ch_acc_idx[q]:
-                ts = slt[i]
-                if ts is not None and (lat is None or ts > lat):
-                    lat = ts
-            if lat is not None and (fw is None or now - lat <= fw):
-                return StreamVerdict.ACCEPTING
-            return StreamVerdict.INCONCLUSIVE
-        acc_s, lv_s, gr_s = self._ch_sets[q]
+    def _channel_codes(self) -> List[int]:
+        v = self._pack()
+        now, fw = v[PT], self.f_window
+        if self._ch_flags is not None:
+            ci = v[ST]
+            return [
+                judge(lv[ci], gr[ci], False, lat, now, fw)[0]
+                for (_acc, lv, gr), lat in zip(self._ch_flags, v[NF:])
+            ]
         cs = self.configs
-        if not (cs & lv_s):
-            return StreamVerdict.REJECTED
-        if gr_s and cs <= gr_s:
-            return StreamVerdict.ACCEPTING
-        lat = None
-        for c, ts in self._slt.items():
-            if c in acc_s and (lat is None or ts > lat):
-                lat = ts
-        if lat is not None and (fw is None or now - lat <= fw):
-            return StreamVerdict.ACCEPTING
-        return StreamVerdict.INCONCLUSIVE
+        return [
+            judge(bool(cs & lv_s), bool(gr_s) and cs <= gr_s, False, lat, now, fw)[0]
+            for (_acc_s, lv_s, gr_s), lat in zip(self._ch_sets, v[NF:])
+        ]
 
     def query_verdicts(self) -> Dict[str, StreamVerdict]:
         """Current verdict-so-far per query channel."""
-        return {
-            name: self._channel_verdict(q)
-            for q, name in enumerate(self._ch_names)
-        }
+        return dict(zip(self._ch_names, [VERDICTS[c] for c in self._channel_codes()]))
 
     def channel_verdict(self, name: str) -> StreamVerdict:
         """One channel's verdict-so-far (ValueError if unknown)."""
@@ -630,23 +483,12 @@ class PlanMonitor(TBAMonitor):
             raise ValueError(
                 f"no channel {name!r} in plan {self._ch_names}"
             ) from None
-        return self._channel_verdict(q)
+        return VERDICTS[self._channel_codes()[q]]
 
     def channel_accept_visits(self) -> Dict[str, int]:
         """Applied events per channel that landed in an accepting
         configuration (the per-channel mirror of ``accept_visits``)."""
-        out: Dict[str, int] = {}
-        if self._ch_flags is not None:
-            svc = self._svc
-            for q, name in enumerate(self._ch_names):
-                out[name] = sum(svc[i] for i in self._ch_acc_idx[q])
-        else:
-            for q, name in enumerate(self._ch_names):
-                acc_s = self._ch_sets[q][0]
-                out[name] = sum(
-                    n for c, n in self._svc.items() if c in acc_s
-                )
-        return out
+        return dict(zip(self._ch_names, self._ch_visits))
 
     @property
     def absorbed(self) -> bool:

@@ -18,10 +18,12 @@ mux (see :mod:`repro.shard.worker`).  The pieces:
   :class:`~repro.stream.supervisor.MuxSupervisor`, lifted to per-shard
   granularity: every event is journaled *at send*, a per-shard
   :meth:`checkpoint` snapshots the worker's mux and truncates that
-  journal, and a SIGKILLed shard (:meth:`crash`, or any detected death)
-  comes back via :meth:`recover` — respawn, restore the snapshot,
-  replay the journal — or via :meth:`fail_over`, which re-places the
-  dead shard's sessions on the survivors instead.
+  journal (a session closed or evicted since takes its events out of
+  it, and its copy out of the snapshot on replay), and a SIGKILLed
+  shard (:meth:`crash`, or any detected death) comes back via
+  :meth:`recover` — respawn, restore the snapshot, replay the journal
+  — or via :meth:`fail_over`, which re-places the dead shard's
+  sessions on the survivors instead.
 * **Elasticity** — :meth:`rebalance` grows or shrinks the pool,
   migrating exactly the sessions whose ring placement changed
   (consistent hashing moves ~K/N of them) through the live-session
@@ -85,12 +87,17 @@ class ShardError(RuntimeError):
     """A shard died, rejected work, or answered out of protocol."""
 
 
+#: Journal length below which retired sessions' events are not dropped.
+COMPACT_MIN = 4096
+
+
 class _Shard:
     """Parent-side handle for one worker process."""
 
     __slots__ = (
         "id", "proc", "conn", "seq", "inflight", "buffer", "journal",
         "snapshot", "events_since_checkpoint", "langs", "alive", "errors",
+        "retired", "gone", "tally", "compact_at",
     )
 
     def __init__(self, shard_id: str, proc: Any, conn: Any):
@@ -103,10 +110,63 @@ class _Shard:
         self.journal: List[Tuple[str, Any, int]] = []
         self.snapshot: Optional[Dict[str, Any]] = None
         self.events_since_checkpoint = 0
+        self._forget()
         # language key -> acceptor installed in the worker, LRU order
         self.langs: "OrderedDict[int, Any]" = OrderedDict()
         self.alive = True
         self.errors: List[str] = []
+
+    def _forget(self) -> None:
+        """Start the retirement books of a fresh journal."""
+        #: Sessions closed or evicted since the checkpoint, by the
+        #: journal length then: their earlier events are dead.
+        self.retired: Dict[str, int] = {}
+        #: Of those, the ones whose snapshot copy is dead too.
+        self.gone: set = set()
+        #: Mux counters the dead events and snapshot copies carried.
+        self.tally = dict.fromkeys(
+            ("sessions_opened", "sessions_closed", "sessions_evicted"), 0
+        )
+        self.compact_at = COMPACT_MIN
+
+    def retire(self, names: List[str], counter: str) -> None:
+        """Book closed or evicted sessions; drop dead events once the
+        journal has doubled since the last drop (amortized O(1))."""
+        sessions = self.snapshot["sessions"] if self.snapshot else {}
+        for name in names:
+            self.retired[name] = len(self.journal)
+            if name in sessions and name not in self.gone:
+                self.gone.add(name)
+            else:  # an incarnation opened since the checkpoint
+                self.tally["sessions_opened"] += 1
+            self.tally[counter] += 1
+        if len(self.journal) >= self.compact_at:
+            self.journal = self.live_journal()
+            self.retired = {}
+            self.compact_at = max(2 * len(self.journal), COMPACT_MIN)
+
+    def live_journal(self) -> List[Tuple[str, Any, int]]:
+        """The journal without the events of retired sessions."""
+        dead = self.retired
+        return [e for i, e in enumerate(self.journal) if dead.get(e[0], -1) <= i]
+
+    def restorable(self) -> Optional[Dict[str, Any]]:
+        """The snapshot to restore: without retired sessions' copies,
+        counters as the uninterrupted worker has them (None: nothing to
+        restore)."""
+        from ..stream.checkpoint import FORMAT_VERSION
+
+        snap = self.snapshot
+        if snap is None and not any(self.tally.values()):
+            return None
+        if snap is None:
+            counters = dict.fromkeys(("drops", *self.tally), 0)
+            snap = {"version": FORMAT_VERSION, "kind": "mux", "counters": counters}
+            snap["sessions"] = {}
+        tally = self.tally
+        counters = {k: v + tally.get(k, 0) for k, v in snap["counters"].items()}
+        sessions = {n: e for n, e in snap["sessions"].items() if n not in self.gone}
+        return dict(snap, counters=counters, sessions=sessions)
 
 
 class ShardRouter:
@@ -369,6 +429,7 @@ class ShardRouter:
         self._flush_shard(shard)
         self._drain_acks(shard)
         report = self._request(shard, OP_CLOSE, (name, horizon))
+        shard.retire([name], "sessions_closed")
         self._placement.pop(name, None)
         return report
 
@@ -387,6 +448,7 @@ class ShardRouter:
         victims: List[str] = []
         for shard in self._shards.values():
             evicted = self._request(shard, OP_EVICT, (now, idle_ttl))
+            shard.retire(evicted, "sessions_evicted")
             victims.extend(evicted)
         for name in victims:
             self._placement.pop(name, None)
@@ -397,6 +459,7 @@ class ShardRouter:
         self._drain_acks(shard)
         shard.snapshot = self._request(shard, OP_CHECKPOINT, None)
         shard.journal = []
+        shard._forget()
         shard.events_since_checkpoint = 0
         self._count("shard.checkpoints", shard=shard.id)
 
@@ -433,21 +496,23 @@ class ShardRouter:
 
         Restore the last checkpoint into a fresh worker, then replay the
         journal (every event routed since that checkpoint) in original
-        order — deterministic for non-raising drop policies, so the
-        recovered shard's verdicts match an uninterrupted run
-        verdict-for-verdict.  Returns the recovery latency in seconds
-        (also observed as ``shard.recovery_latency``).
+        order, leaving out the sessions closed or evicted since —
+        deterministic for non-raising drop policies, so the recovered
+        shard's verdicts and mux counters match an uninterrupted run.
+        Returns the recovery latency in seconds (also observed as
+        ``shard.recovery_latency``).
         """
         old = self._shards[shard_id]
         t0 = time.perf_counter()
         self._reap(old)
         shard = self._spawn(shard_id)
-        shard.snapshot = old.snapshot
-        shard.journal = old.journal
+        for book in ("snapshot", "journal", "retired", "gone", "tally", "compact_at"):
+            setattr(shard, book, getattr(old, book))
         shard.events_since_checkpoint = len(old.journal)
-        if shard.snapshot is not None:
-            self._request(shard, OP_RESTORE, shard.snapshot)
-        for chunk in iter_chunks(shard.journal, self.chunk_events):
+        snapshot = shard.restorable()
+        if snapshot is not None:
+            self._request(shard, OP_RESTORE, snapshot)
+        for chunk in iter_chunks(shard.live_journal(), self.chunk_events):
             self._drain_acks(shard, down_to=self.max_inflight - 1)
             shard.seq += 1
             send_frame(shard.conn, OP_EVENTS, shard.seq, chunk)
@@ -479,8 +544,9 @@ class ShardRouter:
             if sid == shard_id:
                 self._placement[name] = self._ring.place(name)
         groups: Dict[str, Dict[str, Any]] = {}
-        if dead.snapshot is not None:
-            for name, entry in dead.snapshot["sessions"].items():
+        snapshot = dead.restorable()
+        if snapshot is not None:
+            for name, entry in snapshot["sessions"].items():
                 groups.setdefault(self._ring.place(name), {})[name] = entry
         moved: List[str] = []
         for target_id, entries in sorted(groups.items()):
@@ -491,7 +557,7 @@ class ShardRouter:
             moved.extend(entries)
         # The journal re-routes through the new ring (and re-journals
         # on the adopting shards, keeping *their* recovery story whole).
-        self.ingest_batch(dead.journal)
+        self.ingest_batch(dead.live_journal())
         self.sync()
         latency = time.perf_counter() - t0
         h = _obs.HOOKS

@@ -85,7 +85,10 @@ class _Worker:
 
     # -- language rebinding for checkpoint restore ------------------------
     def _lang_kwargs(self) -> Dict[str, Any]:
-        """How :mod:`repro.stream.checkpoint` re-binds this mux's language."""
+        """How :mod:`repro.stream.checkpoint` re-binds this mux's language
+        (a planned mux rebinds its own plan)."""
+        if self.mux is not None and self.mux.plan is not None:
+            return {}
         if self.mux is None or self.mux.acceptor is None:
             raise RuntimeError(
                 "this shard hosts no checkpointable mux (decide-only pool "

@@ -13,8 +13,10 @@ output needed:
 ``monitor``
     :class:`~repro.stream.monitor.TBAMonitor` on the compiled
     dense-table path vs the interpreted ``_step_configs`` path —
-    per-event verdict streams, accept-visit counters, and the
-    ``ingest_many`` bulk scan vs the event-at-a-time loop.
+    per-event verdict streams, accept-visit counters, the
+    ``ingest_many`` bulk scan vs the event-at-a-time loop, and the
+    :class:`~repro.stream.session.SessionMux` wave kernel (the word fed
+    to interleaved sessions) vs that bulk scan.
 ``strategy``
     ``engine.decide(strategy="online-incremental")`` (stream replay)
     vs ``strategy="lasso-exact"`` (batch) on the shared §3.1.1 machine
@@ -60,8 +62,10 @@ through every pair above, plus two query-layer differentials per case:
     random chain queries vs independent per-query
     :class:`~repro.stream.monitor.TBAMonitor`\\ s — per-event
     ``query_verdicts()`` streams must match on both stepping paths,
-    and the plan monitor's bulk scan must land where its scalar loop
-    does.
+    and the plan monitor's bulk scan, the planned
+    :class:`~repro.stream.session.SessionMux` wave kernel (several
+    interleaved sessions, wide and narrow chunks) and mid-stream
+    checkpoint/restore must all land where its scalar loop does.
 
 CLI::
 
@@ -446,6 +450,7 @@ def _final(monitor) -> Tuple[str, int, int, int]:
 def _check_monitor(
     spec: Case, alphabet: Tuple[Any, ...], word: TimedWord
 ) -> Optional[str]:
+    from ..stream import SessionMux
     from ..stream.monitor import TBAMonitor
 
     tba = _case_tba(spec, alphabet)
@@ -468,6 +473,15 @@ def _check_monitor(
                 f"f_window={fw}: ingest_many says "
                 f"({bulk_verdict.value}, {bulk.accept_visits}) but the "
                 f"per-event loop says ({cv[0][-1]}, {cv[1]})"
+            )
+        # The mux's wave kernel: the word fed to interleaved sessions.
+        mux = SessionMux(tba, f_window=fw)
+        mux.ingest_batch([(name, s, t) for s, t in events for name in "ab"])
+        got = {(mux.monitor(n).verdict, mux.monitor(n).accept_visits) for n in "ab"}
+        if got != {(bulk_verdict, bulk.accept_visits)}:
+            return (
+                f"f_window={fw}: the mux kernel ends at {got}, ingest_many "
+                f"at {(bulk_verdict, bulk.accept_visits)}"
             )
     # Out-of-order ingestion under a lateness bound: both stepping
     # paths see the same released sequence, and the reorder machinery
@@ -697,6 +711,50 @@ def _check_query_plan(
             f"but the per-event loop ends at "
             f"{ {k: v.value for k, v in scalar_final.items()} }"
         )
+    return _check_plan_mux(plan, events, scalar_final)
+
+
+def _check_plan_mux(plan: Any, events, want: Dict[str, Any]) -> Optional[str]:
+    """The planned mux's wave kernel and checkpoints: the word fed to
+    several interleaved sessions through ``ingest_batch`` (wide and
+    narrow chunks), and a mid-stream checkpoint/restore (mux and single
+    monitor, across stepping paths), must all end at ``want``."""
+    from ..stream import SessionMux, checkpoint, checkpoint_mux, restore, restore_mux
+
+    names = ("s0", "s1", "s2")
+    feed = [(name, s, t) for s, t in events for name in names]
+    cut = len(feed) // 2
+    for width in (len(names), 2 * len(names) + 1, 64):
+        mux = SessionMux(plan=plan)
+        for i in range(0, len(feed), width):
+            if i <= cut < i + width:  # resume from a JSON snapshot mid-stream
+                mux.ingest_batch(feed[i:cut])
+                snap = json.loads(json.dumps(checkpoint_mux(mux)))
+                mux = restore_mux(snap, SessionMux(plan=plan))
+                mux.ingest_batch(feed[cut : i + width])
+            else:
+                mux.ingest_batch(feed[i : i + width])
+        for name in names:
+            got = mux.monitor(name).query_verdicts()
+            if got != want:
+                return (
+                    f"planned mux (chunks of {width}) session {name} ends at "
+                    f"{ {k: v.value for k, v in got.items()} } but the "
+                    f"per-event plan monitor ends at "
+                    f"{ {k: v.value for k, v in want.items()} }"
+                )
+    half = len(events) // 2
+    for save, load in ((None, False), (False, None)):
+        first = plan.monitor(compiled=save)
+        first.ingest_many(events[:half])
+        snap = json.loads(json.dumps(checkpoint(first)))
+        second = restore(snap, acceptor=plan, compiled=load)
+        second.ingest_many(events[half:])
+        if second.query_verdicts() != want:
+            return (
+                f"plan monitor save(compiled={save})→restore(compiled={load}) "
+                f"ends at { {k: v.value for k, v in second.query_verdicts().items()} }"
+            )
     return None
 
 

@@ -14,8 +14,15 @@ JSON-able dictionaries:
   carries the released-event log, and restore re-applies it to a fresh
   machine.  O(events) but exact (the machine re-dispatches the same
   event sequence).
+* :class:`~repro.query.plan.PlanMonitor` — the TBA snapshot plus each
+  query channel's last-accept time and accept visits (kind ``"plan"``).
 * :class:`~repro.stream.session.SessionMux` — per-session snapshots
-  plus the mux counters.
+  plus the mux counters.  Session-table rows snapshot through their
+  row views; on restore each session is rebuilt as a monitor (over the
+  receiving mux's own plan, or its automaton when none is passed) and
+  packed into a row of that mux's table when a row can hold it — a
+  reorder buffer, other knobs or another stepping path keep it an
+  object.
 
 Symbols, TBA states, and clock values cross the serialization boundary
 as ``repr`` strings inverted by :func:`ast.literal_eval`, so streams
@@ -99,31 +106,29 @@ def checkpoint(monitor: Any) -> Dict[str, Any]:
     h = _obs.HOOKS
     if h is not None:
         h.count("stream.checkpoints", op="save")
-    if getattr(monitor, "_wave_custom", False):
-        # PlanMonitors carry per-channel occupancy books the TBA
-        # snapshot format cannot express; snapshotting them as plain
-        # TBAMonitors would silently lose the per-query verdicts.
-        raise NotImplementedError(
-            "checkpointing fused plan monitors is not supported; "
-            "checkpoint the individual query monitors instead"
-        )
     if isinstance(monitor, TBAMonitor):
-        return {
-            "version": FORMAT_VERSION,
-            "kind": "tba",
-            "state": dict(
-                _base_state(monitor),
-                configs=[
-                    [_enc(state), list(vals)]
-                    for state, vals in sorted(monitor.configs, key=repr)
-                ],
-                prev_t=monitor.prev_t,
-                f_window=monitor.f_window,
-                accept_visits=monitor.accept_visits,
-                last_accept_time=monitor._last_accept_time,
-                green_locked=monitor._green_locked,
-            ),
-        }
+        state = dict(
+            _base_state(monitor),
+            configs=[
+                [_enc(state), list(vals)]
+                for state, vals in sorted(monitor.configs, key=repr)
+            ],
+            prev_t=monitor.prev_t,
+            f_window=monitor.f_window,
+            accept_visits=monitor.accept_visits,
+            last_accept_time=monitor._last_accept_time,
+            green_locked=monitor._green_locked,
+        )
+        names = getattr(monitor, "_ch_names", None)
+        if names is not None:
+            state["channels"] = {
+                name: [None if lat < 0 else lat, visits]
+                for name, lat, visits in zip(
+                    names, monitor._ch_lat, monitor._ch_visits
+                )
+            }
+        kind = "tba" if names is None else "plan"
+        return {"version": FORMAT_VERSION, "kind": kind, "state": state}
     if isinstance(monitor, Monitor):
         if not monitor.keep_history:
             raise ValueError(
@@ -153,12 +158,14 @@ def restore(
     """Rebuild a monitor from a :func:`checkpoint` snapshot.
 
     The language artifact is *not* serialized (it is code): pass the
-    same ``tba`` for a ``"tba"`` snapshot or the same ``acceptor`` for a
-    ``"machine"`` one.  ``compiled`` picks the stepping path of the
-    rebuilt :class:`TBAMonitor` exactly like the constructor argument —
-    snapshots are path-neutral, so a monitor checkpointed on the
-    interpreted path may be restored onto the compiled one and vice
-    versa (the spec conformance harness cross-checks this).
+    same ``tba`` for a ``"tba"`` snapshot, the same ``acceptor`` for a
+    ``"machine"`` one, or the same :class:`~repro.query.plan.QueryPlan`
+    as ``acceptor`` for a ``"plan"`` one.  ``compiled`` picks the
+    stepping path of the rebuilt :class:`TBAMonitor` exactly like the
+    constructor argument — snapshots are path-neutral, so a monitor
+    checkpointed on the interpreted path may be restored onto the
+    compiled one and vice versa (the spec conformance harness
+    cross-checks this).
     """
     if snapshot.get("version") != FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint version {snapshot.get('version')!r}")
@@ -167,17 +174,18 @@ def restore(
         h.count("stream.checkpoints", op="restore")
     state = snapshot["state"]
     kind = snapshot["kind"]
-    if kind == "tba":
-        if tba is None:
+    if kind in ("tba", "plan"):
+        knobs = {k: state[k] for k in ("lateness", "late_policy", "f_window")}
+        if kind == "plan":
+            if acceptor is None:
+                raise ValueError(
+                    "restoring a 'plan' snapshot needs acceptor=<QueryPlan>"
+                )
+            monitor = acceptor.monitor(compiled=compiled, **knobs)
+        elif tba is None:
             raise ValueError("restoring a 'tba' snapshot needs tba=...")
-        monitor = TBAMonitor(
-            tba,
-            analysis=analysis,
-            lateness=state["lateness"],
-            late_policy=state["late_policy"],
-            f_window=state["f_window"],
-            compiled=compiled,
-        )
+        else:
+            monitor = TBAMonitor(tba, analysis=analysis, compiled=compiled, **knobs)
         monitor.configs = frozenset(
             (_dec(s), tuple(vals)) for s, vals in state["configs"]
         )
@@ -185,6 +193,10 @@ def restore(
         monitor.accept_visits = state["accept_visits"]
         monitor._last_accept_time = state["last_accept_time"]
         monitor._green_locked = state["green_locked"]
+        if kind == "plan":
+            books = [state["channels"][name] for name in monitor._ch_names]
+            monitor._ch_lat = [-1 if lat is None else lat for lat, _n in books]
+            monitor._ch_visits = [n for _lat, n in books]
         _restore_base(monitor, state)
         return monitor
     if kind == "machine":
@@ -218,15 +230,46 @@ def checkpoint_mux(mux: SessionMux) -> Dict[str, Any]:
             "sessions_closed": mux.sessions_closed,
             "sessions_evicted": mux.sessions_evicted,
         },
-        "sessions": {
-            name: {
-                "snapshot": checkpoint(s.monitor),
-                "last_event_time": s.last_event_time,
-                "drops": s.drops,
-            }
-            for name, s in mux._sessions.items()
-        },
+        "sessions": {name: _entry(s) for name, s in mux._sessions.items()},
     }
+
+
+def _entry(session: Any) -> Dict[str, Any]:
+    return {
+        "snapshot": checkpoint(session.monitor),
+        "last_event_time": session.last_event_time,
+        "drops": session.drops,
+    }
+
+
+def _attach(mux: SessionMux, name: str, entry: Dict[str, Any], **lang: Any) -> None:
+    """Add one snapshotted session to ``mux``: restored, then packed into
+    a table row when one can hold it (same compiled language and knobs,
+    nothing buffered), else kept as the monitor object."""
+    if name in mux:
+        raise ValueError(f"session {name!r} already live on this mux")
+    tab, plan = mux._rows, mux.plan
+    if plan is not None:
+        lang["acceptor"] = plan
+    elif tab is not None and lang["tba"] is None:
+        lang["tba"] = tab.tba
+    monitor = restore(entry["snapshot"], **lang)
+    if (
+        tab is not None
+        and getattr(monitor, "_compiled", None) is tab.comp
+        and (monitor.lateness, monitor.late_policy, monitor.f_window)
+        == (0, tab.late_policy, tab.fw)
+        and not monitor._heap
+        and monitor.events_released == monitor._seq == monitor.events_ingested
+        and (entry["drops"], entry["last_event_time"]) == (0, monitor.max_seen)
+    ):
+        (session,) = tab.open(1)
+        tab.T[session._r] = monitor._pack()
+    else:
+        session = _Session(name, monitor)
+        session.last_event_time = entry["last_event_time"]
+        session.drops = entry["drops"]
+    mux._add(name, session)
 
 
 def restore_mux(
@@ -240,7 +283,8 @@ def restore_mux(
     """Repopulate a freshly-constructed mux from :func:`checkpoint_mux`.
 
     ``mux`` must be empty and configured like the one snapshotted (the
-    configuration, like the acceptor, is code and is not serialized).
+    configuration, like the acceptor, is code and is not serialized; a
+    planned mux rebinds its own plan).
     """
     if len(mux):
         raise ValueError("restore_mux needs an empty mux")
@@ -251,26 +295,9 @@ def restore_mux(
     mux.sessions_opened = counters["sessions_opened"]
     mux.sessions_closed = counters["sessions_closed"]
     mux.sessions_evicted = counters["sessions_evicted"]
-    # One analysis per language, shared by every restored session —
-    # without this, each restore() re-derives it from scratch (the
-    # one-build-per-language invariant is pinned by
-    # tests/test_stream_compiled.py).
-    analysis = analysis_for(tba) if tba is not None else None
-    for name, entry in snapshot["sessions"].items():
-        monitor = restore(
-            entry["snapshot"],
-            tba=tba,
-            acceptor=acceptor,
-            analysis=analysis,
-            compiled=compiled,
-        )
-        session = _Session(name, monitor)
-        session.last_event_time = entry["last_event_time"]
-        session.drops = entry["drops"]
-        mux._sessions[name] = session
-    h = _obs.HOOKS
-    if h is not None:
-        h.gauge("stream.sessions_active", len(mux._sessions))
+    restore_sessions(
+        mux, snapshot["sessions"], tba=tba, acceptor=acceptor, compiled=compiled
+    )
     return mux
 
 
@@ -287,14 +314,9 @@ def extract_sessions(mux: SessionMux, names) -> Dict[str, Dict[str, Any]]:
     """
     entries: Dict[str, Dict[str, Any]] = {}
     for name in names:
-        session = mux._sessions.pop(name, None)
-        if session is None:
-            continue
-        entries[name] = {
-            "snapshot": checkpoint(session.monitor),
-            "last_event_time": session.last_event_time,
-            "drops": session.drops,
-        }
+        if name in mux:
+            entries[name] = _entry(mux._sessions[name])
+            mux._drop(name)
     h = _obs.HOOKS
     if entries and h is not None:
         h.gauge("stream.sessions_active", len(mux._sessions))
@@ -315,27 +337,20 @@ def restore_sessions(
     :func:`restore_mux`); a name collision raises rather than silently
     clobbering a live monitor.  Returns the restored names.
     """
+    # One analysis per language, shared by every restored session —
+    # without this, each restore() re-derives it from scratch (the
+    # one-build-per-language invariant is pinned by
+    # tests/test_stream_compiled.py).
     analysis = analysis_for(tba) if tba is not None else None
-    restored: List[str] = []
     for name, entry in entries.items():
-        if name in mux._sessions:
-            raise ValueError(f"session {name!r} already live on this mux")
-        monitor = restore(
-            entry["snapshot"],
-            tba=tba,
-            acceptor=acceptor,
-            analysis=analysis,
-            compiled=compiled,
+        _attach(
+            mux, name, entry, tba=tba, acceptor=acceptor,
+            analysis=analysis, compiled=compiled,
         )
-        session = _Session(name, monitor)
-        session.last_event_time = entry["last_event_time"]
-        session.drops = entry["drops"]
-        mux._sessions[name] = session
-        restored.append(name)
     h = _obs.HOOKS
-    if restored and h is not None:
+    if entries and h is not None:
         h.gauge("stream.sessions_active", len(mux._sessions))
-    return restored
+    return list(entries)
 
 
 def save_json(path: str, snapshot: Dict[str, Any]) -> None:

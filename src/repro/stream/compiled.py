@@ -117,7 +117,11 @@ class CompiledTBA:
         )
         self.index: Dict[Any, int] = {c: i for i, c in enumerate(self.configs)}
         self.symbols: List[Any] = analysis.symbols
-        self.sym_index: Dict[Any, int] = {s: i for i, s in enumerate(self.symbols)}
+        #: Symbol → table column; indexing with any other symbol yields
+        #: the unknown-symbol column (``get`` still returns None).
+        self.sym_index: Dict[Any, int] = _Columns(
+            (s, i) for i, s in enumerate(self.symbols)
+        )
         self.gap_cap = tba._cmax + 1
         n = len(self.configs)
         S = len(self.symbols)
@@ -232,7 +236,7 @@ class CompiledTBA:
     # -- stepping ----------------------------------------------------------
     def step_index(self, ci: int, symbol: Any, gap: int) -> int:
         """One deterministic step: config index → successor index."""
-        si = self.sym_index.get(symbol, self.n_symbols)
+        si = self.sym_index[symbol]
         if gap > self.gap_cap:
             gap = self.gap_cap
         return self.table_list[ci][si][gap]
@@ -251,12 +255,6 @@ class CompiledTBA:
             out |= succ[low.bit_length() - 1][si][gap]
             mask ^= low
         return out
-
-    def step_many(self, states: Any, sym_indices: Any, gaps: Any) -> Any:
-        """Vectorized deterministic step: one table gather advances a
-        whole array of sessions (`states` may include the trap)."""
-        np = NUMPY
-        return self.table[states, sym_indices, np.minimum(gaps, self.gap_cap)]
 
     # -- lasso acceptance --------------------------------------------------
     def accepts_lasso(self, word: Any) -> bool:
@@ -397,6 +395,11 @@ def compiled_for(analysis: Any) -> Optional[CompiledTBA]:
     if h is not None:
         h.count("stream.compile", outcome="built")
     return comp
+
+
+class _Columns(dict):
+    def __missing__(self, _symbol: Any) -> int:
+        return len(self)
 
 
 class _Missing:

@@ -108,6 +108,102 @@ class StreamVerdict(Enum):
         return Verdict.UNDECIDED
 
 
+#: Verdict codes: a packed row (and the mux's session table) stores a
+#: verdict as its index here.
+VERDICTS = (StreamVerdict.INCONCLUSIVE, StreamVerdict.ACCEPTING, StreamVerdict.REJECTED)
+INC, ACC, REJ = 0, 1, 2  # judge_many relies on ACC == True, INC == False
+_CODE = {v: i for i, v in enumerate(VERDICTS)}
+
+#: Packed-row columns of a compiled deterministic run: state index,
+#: previous timestamp, max seen (-1: none), last accept time (-1:
+#: never), accept visits, green lock, verdict code, verdict flips,
+#: events ingested (= released: rows never buffer), late events.  A
+#: query plan appends one last-accept time per channel, then one
+#: accept-visit count per channel.
+ST, PT, MS, LAT, VIS, GL, VC, FL, NEV, LATE = range(10)
+NF = 10
+
+
+def judge(
+    alive: bool, green: bool, locked: bool, lat: int, t: int, fw: Optional[int]
+) -> Tuple[int, bool]:
+    """The LTL₃ verdict rule, scalar form: ``(verdict code, green lock)``
+    for a run whose current state is ``alive``/``green``, given its
+    lock and last accept time ``lat`` (negative: never) at time ``t``.
+
+    Dead → REJECTED; green lock, or an accept within ``fw`` (the
+    ``f_window``; None: ever) → ACCEPTING; otherwise INCONCLUSIVE.
+    :func:`judge_many` is the array form; nothing else restates it.
+    """
+    if not alive:
+        return REJ, locked
+    if green or locked:
+        return ACC, True
+    if lat >= 0 and (fw is None or t - lat <= fw):
+        return ACC, False
+    return INC, False
+
+
+def judge_many(
+    np: Any, alive: Any, green: Any, locked: Any, lat: Any, t: Any, fw: Optional[int]
+) -> Tuple[Any, Any]:
+    """:func:`judge` over arrays, elementwise (one element per event)."""
+    locked = locked | (alive & green)
+    recent = lat >= 0
+    if fw is not None:
+        recent &= t - lat <= fw
+    # (locked | recent) reads as a code: ACC is 1, INC is 0.
+    return np.where(alive, locked | recent, REJ), locked
+
+
+def scan(
+    comp: Any, v: List[Any], events: Any, fw: Optional[int], chan: Any = None
+) -> int:
+    """Apply on-time events to one packed row ``v`` (in place) through
+    a deterministic compiled table; stops at the first late or negative
+    timestamp and returns how many events it applied.
+
+    Rejection absorbs exactly as in ``TBAMonitor._advance``: the events
+    still count, the state and previous timestamp freeze.  ``chan``
+    (query plans) maps a state index to the channels accepting there.
+    """
+    table = comp.table_list
+    column = comp.sym_index.__getitem__
+    cap = comp.gap_cap
+    acc, live, green = comp.accepting_list, comp.live_list, comp.green_list
+    vis0 = NF + (len(v) - NF) // 2
+    ci, pt, wm, lat, visits, locked, code, flips = v[: FL + 1]
+    h = _obs.HOOKS
+    applied = 0
+    for symbol, t in events:
+        if t < wm or t < 0:
+            break
+        applied += 1
+        wm = t
+        if code == REJ:
+            continue
+        gap = t - pt
+        pt = t
+        row = table[ci][column(symbol)]
+        ci = row[gap] if gap <= cap else row[cap]
+        if acc[ci]:
+            visits += 1
+            lat = t
+        if chan is not None:
+            for q in chan[ci]:
+                v[NF + q] = t
+                v[vis0 + q] += 1
+        new, locked = judge(live[ci], green[ci], locked, lat, t, fw)
+        if new != code:
+            code = new
+            flips += 1
+            if h is not None:
+                h.count("stream.verdict_flips", to=VERDICTS[new].value)
+    v[: FL + 1] = ci, pt, wm, lat, visits, locked, code, flips
+    v[NEV] += applied
+    return applied
+
+
 class LateEventError(ValueError):
     """An event arrived with a timestamp older than the watermark."""
 
@@ -320,17 +416,11 @@ class Monitor(_BaseMonitor):
                 if s == ACCEPT_SYMBOL:
                     self.f_count += 1
                     self._last_f_time = wt
-        v = self._ctx.verdict
-        if v is Verdict.ACCEPT:
-            self._set_verdict(StreamVerdict.ACCEPTING)
-        elif v is Verdict.REJECT:
-            self._set_verdict(StreamVerdict.REJECTED)
-        elif self._last_f_time is not None and (
-            self.f_window is None or t - self._last_f_time <= self.f_window
-        ):
-            self._set_verdict(StreamVerdict.ACCEPTING)
-        else:
-            self._set_verdict(StreamVerdict.INCONCLUSIVE)
+        v, lat = self._ctx.verdict, self._last_f_time
+        alive, green = v is not Verdict.REJECT, v is Verdict.ACCEPT
+        lat = -1 if lat is None else lat
+        code, _lock = judge(alive, green, False, lat, t, self.f_window)
+        self._set_verdict(VERDICTS[code])
 
     def finish(self, horizon: int = DEFAULT_HORIZON) -> DecisionReport:
         """Close the stream and render the batch-equivalent report.
@@ -643,11 +733,8 @@ class TBAMonitor(_BaseMonitor):
     (obligations met); INCONCLUSIVE otherwise.
     """
 
-    #: Subclasses with extra per-step bookkeeping (the query plan's
-    #: :class:`~repro.query.plan.PlanMonitor`) set this True so the
-    #: mux's cross-session wave stepping routes each advanced index
-    #: through :meth:`_apply_wave` instead of the inline fast path.
-    _wave_custom = False
+    #: Per-state accepting channels (query plans only; see :func:`scan`).
+    _chan: Any = None
 
     def __init__(
         self,
@@ -762,7 +849,7 @@ class TBAMonitor(_BaseMonitor):
         self._judge(t)
 
     def ingest_many(self, events) -> StreamVerdict:
-        """Batched ingest: one tight scan over the compiled table.
+        """Batched ingest: one :func:`scan` over the compiled table.
 
         Verdict- and counter-identical to looping :meth:`ingest` (the
         differential suite pins it), with two scope limits — the fast
@@ -785,82 +872,41 @@ class TBAMonitor(_BaseMonitor):
             return super().ingest_many(events)
         if not isinstance(events, (list, tuple)):
             events = list(events)
-        table = comp.table_list
-        sym_index = comp.sym_index
-        unknown = comp.n_symbols
-        cap = comp.gap_cap
-        acc = comp.accepting_list
-        live = comp.live_list
-        green = comp.green_list
-        get = sym_index.get
-        ci = self._ci
-        pt = self.prev_t
-        ms = self.max_seen
-        visits = self.accept_visits
-        lat = self._last_accept_time
-        glock = self._green_locked
-        fw = self.f_window
-        verdict = self.verdict
-        REJ = StreamVerdict.REJECTED
-        ACC = StreamVerdict.ACCEPTING
-        INC = StreamVerdict.INCONCLUSIVE
-        rejected = verdict is REJ
-        applied = 0
-        resume = False
-        wm = -1 if ms is None else ms  # sentinel: every t >= 0 passes
-        for symbol, t in events:
-            if t < wm or t < 0:
-                resume = True  # late/invalid: scalar path owns policy
-                break
-            applied += 1
-            wm = t
-            if rejected:
-                continue
-            gap = t - pt
-            pt = t
-            row = table[ci][get(symbol, unknown)]
-            ci = row[gap] if gap <= cap else row[cap]
-            if acc[ci]:
-                visits += 1
-                lat = t
-            if not live[ci]:
-                rejected = True
-                self._set_verdict(REJ)
-                verdict = REJ
-                continue
-            if glock or green[ci]:
-                glock = True
-                if verdict is not ACC:
-                    self._set_verdict(ACC)
-                    verdict = ACC
-            elif lat is not None and (fw is None or t - lat <= fw):
-                if verdict is not ACC:
-                    self._set_verdict(ACC)
-                    verdict = ACC
-            elif verdict is not INC:
-                self._set_verdict(INC)
-                verdict = INC
-        self._ci = ci
-        self.prev_t = pt
-        if wm >= 0:
-            self.max_seen = wm
-        self.accept_visits = visits
-        self._last_accept_time = lat
-        self._green_locked = glock
-        self.events_ingested += applied
-        self.events_released += applied
-        self._seq += applied
+        v = self._pack()
+        applied = scan(comp, v, events, self.f_window, self._chan)
+        self._unpack(v)
         h = _obs.HOOKS
         if h is not None and applied:
             h.count("stream.events_ingested", applied, outcome="ok")
             h.count("stream.events_released", applied)
             h.count("stream.compiled_steps", applied, path="bulk")
-        if resume:
-            # `applied` events were consumed before the break, so the
-            # offending event and everything after it re-enter scalar.
-            for symbol, t in events[applied:]:
-                self.ingest(symbol, t)
+        # A late/invalid event stopped the scan: it and everything after
+        # it re-enter the scalar path, which owns policy.
+        for symbol, t in events[applied:]:
+            self.ingest(symbol, t)
         return self.verdict
+
+    def _pack(self) -> List[Any]:
+        """The compiled deterministic run as a packed row (``ST``…)."""
+        ms, lat = self.max_seen, self._last_accept_time
+        return [
+            self._ci, self.prev_t, -1 if ms is None else ms,
+            -1 if lat is None else lat, self.accept_visits,
+            self._green_locked, _CODE[self.verdict], self.verdict_flips,
+            self.events_ingested, self.late_events,
+        ]
+
+    def _unpack(self, v: List[Any]) -> None:
+        ci, pt, ms, lat, visits, locked, code, flips, n, _late = v[:NF]
+        delta = n - self.events_ingested
+        self._ci, self.prev_t, self.accept_visits = ci, pt, visits
+        self.max_seen = None if ms < 0 else ms
+        self._last_accept_time = None if lat < 0 else lat
+        self._green_locked = bool(locked)
+        self.verdict, self.verdict_flips = VERDICTS[code], flips
+        self.events_ingested = n
+        self.events_released += delta
+        self._seq += delta
 
     def _judge(self, t: int) -> None:
         comp = self._compiled
@@ -880,15 +926,9 @@ class TBAMonitor(_BaseMonitor):
                 and mask != 0
                 and mask & ~comp.green_mask == 0
             )
-        if not alive:
-            self._set_verdict(StreamVerdict.REJECTED)
-            return
-        if green:
-            self._green_locked = True
-        if self._green_locked or (
-            self._last_accept_time is not None
-            and (self.f_window is None or t - self._last_accept_time <= self.f_window)
-        ):
-            self._set_verdict(StreamVerdict.ACCEPTING)
-        else:
-            self._set_verdict(StreamVerdict.INCONCLUSIVE)
+        lat = self._last_accept_time
+        code, self._green_locked = judge(
+            alive, green, self._green_locked,
+            -1 if lat is None else lat, t, self.f_window,
+        )
+        self._set_verdict(VERDICTS[code])

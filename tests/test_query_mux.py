@@ -149,3 +149,39 @@ def test_session_private_query_takes_scalar_batch_path():
         "plain": StreamVerdict.ACCEPTING,
         "special": StreamVerdict.ACCEPTING,
     }
+
+
+# ----------------------------------------------------- checkpointing
+
+
+@pytest.mark.parametrize("compiled", [None, False])
+def test_planned_mux_checkpoint_restore_continues_identically(compiled):
+    """Planned sessions are checkpointable: a mid-stream snapshot
+    (through JSON) restored into a fresh planned mux — table rows or
+    monitor objects — resumes channel-for-channel."""
+    import json
+
+    from repro.stream import checkpoint_mux, restore_mux
+    from repro.stream.checkpoint import extract_sessions, restore_sessions
+
+    plan = QueryPlan(PLAN_QUERIES)
+    events = plan_events(sessions=5)
+    cut = len(events) // 2
+    whole = SessionMux(plan=plan, f_window=4, compiled=compiled)
+    whole.ingest_batch(events)
+    first = SessionMux(plan=plan, f_window=4, compiled=compiled)
+    first.ingest_batch(events[:cut])
+    snap = json.loads(json.dumps(checkpoint_mux(first)))
+    assert {e["snapshot"]["kind"] for e in snap["sessions"].values()} == {"plan"}
+    second = restore_mux(snap, SessionMux(plan=plan, f_window=4, compiled=compiled))
+    second.ingest_batch(events[cut:])
+    assert second.verdicts() == whole.verdicts()
+    for name in whole.active:
+        got, want = second.monitor(name), whole.monitor(name)
+        assert got.query_verdicts() == want.query_verdicts()
+        assert got.channel_accept_visits() == want.channel_accept_visits()
+    # Migration between planned muxes (the shard rebalance path).
+    third = SessionMux(plan=plan, f_window=4, compiled=compiled)
+    moved = extract_sessions(second, ["s0", "s3"])
+    assert sorted(restore_sessions(third, moved)) == ["s0", "s3"]
+    assert "s0" not in second and third.close("s3") == whole.close("s3")

@@ -12,7 +12,7 @@ import random
 import pytest
 
 from repro.query import PlanMonitor, Q, QueryPlan
-from repro.stream import StreamVerdict, TBAMonitor
+from repro.stream import SessionMux, StreamVerdict, TBAMonitor
 
 QUERIES = {
     "fast": Q.event("req").then("rsp").within(3).repeat(),
@@ -160,20 +160,37 @@ def test_all_channels_dead_rejects_headline():
     assert m.absorbed
 
 
-def test_monitor_is_a_tba_monitor_with_custom_waves():
+def test_monitor_is_a_tba_monitor():
     plan = QueryPlan(QUERIES, ALPHA)
     m = plan.monitor()
     assert isinstance(m, TBAMonitor)
     assert isinstance(m, PlanMonitor)
-    assert m._wave_custom
-    assert not TBAMonitor._wave_custom
+    # a planned mux session is a row view with the same read API
+    mux = SessionMux(plan=plan)
+    mux.ingest("s", "req", 0)
+    assert isinstance(mux.monitor("s"), PlanMonitor)
 
 
-def test_checkpoint_refuses_plan_monitors():
-    from repro.stream import checkpoint
+def test_checkpoint_round_trips_plan_monitors():
+    from repro.stream import checkpoint, restore
 
     plan = QueryPlan(QUERIES, ALPHA)
-    m = plan.monitor()
-    m.ingest("req", 0)
-    with pytest.raises(NotImplementedError, match="plan monitors"):
-        checkpoint(m)
+    events = [("req", 0), ("rsp", 2), ("req", 3), ("rsp", 9), ("req", 10)]
+    whole = plan.monitor(f_window=4)
+    for s, t in events:
+        whole.ingest(s, t)
+    for compiled in (None, False):
+        first = plan.monitor(f_window=4, compiled=compiled)
+        for s, t in events[:2]:
+            first.ingest(s, t)
+        snap = checkpoint(first)
+        assert snap["kind"] == "plan"
+        with pytest.raises(ValueError, match="needs acceptor"):
+            restore(snap)
+        other_path = None if compiled is False else False
+        second = restore(snap, acceptor=plan, compiled=other_path)
+        for s, t in events[2:]:
+            second.ingest(s, t)
+        assert second.query_verdicts() == whole.query_verdicts()
+        assert second.channel_accept_visits() == whole.channel_accept_visits()
+        assert second.verdict is whole.verdict

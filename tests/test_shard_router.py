@@ -12,7 +12,7 @@ import pytest
 from repro.automata import TimedBuchiAutomaton, TimedTransition
 from repro.kernel import Le
 from repro.shard import ShardError, ShardRouter
-from repro.stream import SessionMux
+from repro.stream import SessionMux, StreamVerdict
 
 
 def bounded_gap_tba(bound=2):
@@ -218,3 +218,131 @@ def test_auto_checkpoint_bounds_the_journal(tba):
         router.crash(victim)
         router.recover(victim)
         assert router.verdicts() == reference_verdicts(tba, events)
+
+
+# -- retired sessions stay retired through recovery -------------------------
+
+
+@pytest.fixture(params=[None, 1], ids=["lazy", "compacting"])
+def compaction(request, monkeypatch):
+    """Run with the default journal compaction, and with retired
+    sessions' events dropped at every retirement."""
+    if request.param is not None:
+        from repro.shard import router as router_mod
+
+        monkeypatch.setattr(router_mod, "COMPACT_MIN", request.param)
+    return request.param is not None
+
+
+def test_recover_keeps_closed_sessions_closed(tba, compaction):
+    """A close after the last checkpoint retires the session's journaled
+    events: replay into the respawned worker must not bring it back."""
+    with ShardRouter(tba, n_shards=1) as router:
+        router.ingest_batch([("a", "a", 1), ("b", "a", 1)])
+        router.close_session("a")
+        journal = router._shards["s0"].journal
+        assert ("a", "a", 1) not in journal if compaction else ("a", "a", 1) in journal
+        router.crash("s0")
+        router.recover("s0")
+        assert router.verdicts() == {"b": SessionMux(tba).ingest("b", "a", 1)}
+        assert router.stats()["closed"] == 1
+
+
+def test_recover_replays_close_then_reopen_in_order(tba, compaction):
+    """A name closed and then reused after the checkpoint: the replay
+    retires the first session and keeps the second."""
+    head = [("a", "a", 1), ("b", "a", 1)]
+    # a fresh session rejects at t=3 (gap 3); the closed one would not
+    reopened = [("a", "a", 3), ("c", "a", 1)]
+    with ShardRouter(tba, n_shards=1) as router:
+        router.ingest_batch(head)
+        router.checkpoint()
+        router.ingest("a", "a", 2)
+        router.close_session("a")
+        router.ingest_batch(reopened)
+        router.close_session("c")  # born and retired since the checkpoint
+        want = (router.verdicts(), router.stats())
+        router.crash("s0")
+        router.recover("s0")
+        assert (router.verdicts(), router.stats()) == want
+    ref = SessionMux(tba)
+    for e in head + [("a", "a", 2)]:
+        ref.ingest(*e)
+    ref.close("a")
+    for e in reopened:
+        ref.ingest(*e)
+    ref.close("c")
+    assert want == (ref.verdicts(), ref.stats())
+    assert want[0]["a"] is StreamVerdict.REJECTED
+
+
+def test_recover_keeps_evicted_sessions_evicted(tba, compaction):
+    events = [("hot", "a", t) for t in range(1, 40)] + [("cold", "a", 1)]
+    ref = SessionMux(tba)
+    for e in events:
+        ref.ingest(*e)
+    ref.evict_idle(idle_ttl=10)
+    with ShardRouter(tba, n_shards=1) as router:
+        router.ingest_batch(events)
+        assert router.evict_idle(idle_ttl=10) == ["cold"]
+        router.crash("s0")
+        router.recover("s0")
+        assert router.verdicts() == ref.verdicts()
+        assert router.stats()["evicted"] == 1
+
+
+def test_fail_over_keeps_retired_sessions_retired(tba, compaction):
+    events = traffic(events=900)
+    head, tail = events[:500], events[500:]
+    with ShardRouter(tba, n_shards=3, batch_events=40) as router:
+        router.ingest_batch(head)
+        router.checkpoint()
+        router.ingest_batch(tail)
+        victim = router.shard_ids[0]
+        mine = sorted(n for n in {e[0] for e in events} if router.place_of(n) == victim)
+        assert len(mine) >= 2
+        closed, idle = mine[0], mine[1]
+        router.close_session(closed)
+        router.ingest_batch([(n, "a", 10_000) for n in mine[2:]])
+        assert idle in router.evict_idle(now=10_000, idle_ttl=50)
+        router.crash(victim)
+        router.fail_over(victim)
+        ref = SessionMux(tba)
+        for e in events:
+            ref.ingest(*e)
+        ref.close(closed)
+        for n in mine[2:]:
+            ref.ingest(n, "a", 10_000)
+        ref.evict_idle(now=10_000, idle_ttl=50)
+        assert router.verdicts() == ref.verdicts()
+        assert closed not in router.verdicts() and idle not in router.verdicts()
+
+
+def test_planned_router_rebalances_then_recovers():
+    """A fused-plan mux per worker: sessions migrate (checkpointed
+    rows) and a crashed shard recovers, channel verdicts intact."""
+    from repro.query import Q, QueryPlan
+
+    plan = QueryPlan(
+        {f"w{w}": Q.event("req").then("rsp").within(w).repeat() for w in (2, 4)}
+    )
+    rng = random.Random(5)
+    clocks = {f"p{i}": 0 for i in range(24)}
+    events = []
+    for k in range(600):
+        name = rng.choice(sorted(clocks))
+        clocks[name] += rng.choice([1, 1, 2, 3, 5])
+        events.append((name, "req" if k % 2 else "rsp", clocks[name]))
+    ref = SessionMux(plan=plan)
+    ref.ingest_batch(events)
+    with ShardRouter(mux_factory=lambda: SessionMux(plan=plan), n_shards=1) as router:
+        router.ingest_batch(events[:300])
+        assert router.rebalance(2)["moved"]
+        router.ingest_batch(events[300:])
+        victim = router.shard_ids[1]
+        router.crash(victim)
+        router.recover(victim)
+        assert router.verdicts() == ref.verdicts()
+        for name in sorted(clocks)[:6]:
+            report = router.close_session(name)
+            assert report.query_verdicts == ref.monitor(name).query_verdicts()

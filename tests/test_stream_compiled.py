@@ -24,6 +24,8 @@ from repro.engine import clear_caches
 from repro.kernel import Le
 from repro.obs import install, uninstall
 from repro.stream import (
+    BackpressureError,
+    LateEventError,
     SessionMux,
     StreamVerdict,
     TBAAnalysis,
@@ -417,3 +419,243 @@ class TestFallbacks:
         rng = random.Random(5)
         for symbol, t in random_stream(rng, tba, 50):
             assert fallback.ingest(symbol, t) is reference.ingest(symbol, t)
+
+
+# -- the wave kernel vs the scalar per-event path ---------------------------
+
+COUNTED = (
+    "stream.events_ingested",
+    "stream.events_released",
+    "stream.verdict_flips",
+    "stream.compiled_steps",
+)
+
+
+def fleet_traffic(rng, symbols, sessions=25, events=1200, late=True):
+    """Seeded multi-session traffic: mostly in-order, some late and
+    out-of-order events (``late``), gaps that reject (9), and foreign
+    symbols."""
+    clocks = {}
+    out = []
+    for _ in range(events):
+        name = f"s{rng.randrange(sessions)}"
+        gap = rng.choice([0, 1, 1, 2, 3, 4, 9] + ([-3, -1] if late else []))
+        t = max(0, clocks.get(name, 0) + gap)
+        clocks[name] = max(clocks.get(name, 0), t)
+        out.append((name, rng.choice(list(symbols) + ["?foreign"]), t))
+    return out
+
+
+def drive(mux, events, plan, batch):
+    """Feed ``events`` in ``plan``'s chunks, batched or one at a time in
+    ``ingest_batch``'s documented order (session by session, in order
+    of first appearance), closing the two lowest-named sessions after
+    every third chunk (the names come back later: rows are reused).
+    Returns the reports."""
+    reports = []
+    i = 0
+    for j, n in enumerate(plan):
+        chunk = events[i : i + n]
+        i += n
+        if batch:
+            mux.ingest_batch(chunk)
+        else:
+            by_session = {}
+            for e in chunk:
+                by_session.setdefault(e[0], []).append(e)
+            for slice_ in by_session.values():
+                for e in slice_:
+                    mux.ingest(*e)
+        if j % 3 == 2:
+            reports += [mux.close(name) for name in sorted(mux.active)[:2]]
+    return reports
+
+
+def observed(mux, events, plan, batch):
+    """Run ``drive`` under fresh instrumentation: (reports, counters)."""
+    inst = install()
+    try:
+        reports = drive(mux, events, plan, batch)
+    finally:
+        uninstall()
+    counts = {
+        (s["name"], tuple(sorted(s["labels"].items()))): s["value"]
+        for s in inst.registry.collect()
+        if s["name"] in COUNTED and s["value"]
+    }
+    return reports, counts
+
+
+def same_story(kernel, scalar, reports_k, reports_s):
+    assert reports_k == reports_s
+    assert kernel.verdicts() == scalar.verdicts()
+    assert kernel.stats() == scalar.stats()
+    for name in scalar.active:
+        assert monitor_state(kernel.monitor(name)) == monitor_state(
+            scalar.monitor(name)
+        )
+
+
+class TestWaveKernel:
+    """``ingest_batch`` through the session table must tell the scalar
+    per-event story: verdicts, reports, monitor state and counters."""
+
+    @needs_compiled
+    @pytest.mark.parametrize("fw", [None, 2])
+    @pytest.mark.parametrize("ti", range(len(TBA_FAMILY)))
+    def test_kernel_equals_scalar_path(self, ti, fw):
+        tba = TBA_FAMILY[ti]
+        rng = random.Random(4100 + 7 * ti + (fw or 0))
+        events = fleet_traffic(rng, sorted(tba.alphabet))
+        # wide chunks (the wave arm) and narrow ones (the per-row scans)
+        plan = [rng.choice([1, 3, 40, 120, 250]) for _ in range(60)]
+        kernel = SessionMux(tba, late_policy="drop", f_window=fw)
+        scalar = SessionMux(tba, late_policy="drop", f_window=fw, compiled=False)
+        assert kernel._rows is not None and scalar._rows is None
+        reports_k, counts_k = observed(kernel, events, plan, batch=True)
+        reports_s, counts_s = observed(scalar, events, plan, batch=False)
+        same_story(kernel, scalar, reports_k, reports_s)
+        steps = {k: v for k, v in counts_k.items() if k[0] == "stream.compiled_steps"}
+        assert steps and {dict(k[1])["path"] for k in steps} <= {"wave", "bulk"}
+        others = {k: v for k, v in counts_k.items() if k not in steps}
+        assert others == counts_s
+
+    @needs_compiled
+    def test_kernel_counters_match_the_row_scalar_path(self):
+        """The same mux type fed one event at a time (the row scalar
+        path) counts the same ingests, releases and flips."""
+        tba = bounded_gap_tba(2)
+        rng = random.Random(77)
+        events = fleet_traffic(rng, ["a"], late=False)
+        plan = [250] * 5
+        a, ca = observed(SessionMux(tba), events, plan, batch=True)
+        b, cb = observed(SessionMux(tba), events, plan, batch=False)
+        assert a == b
+        ca = {k: v for k, v in ca.items() if k[0] != "stream.compiled_steps"}
+        assert ca == cb
+
+    @needs_compiled
+    @pytest.mark.parametrize("policy", ["drop-new", "drop-old", "reject"])
+    @pytest.mark.parametrize("lateness", [0, 3])
+    def test_every_drop_policy(self, policy, lateness):
+        """Buffering muxes (lateness > 0) keep object sessions; both
+        kinds batch exactly like the scalar path under every policy."""
+        tba = bounded_gap_tba(3)
+        rng = random.Random(hash((policy, lateness)) % 1000)
+        events = fleet_traffic(rng, ["a"], sessions=8, events=400)
+        plan = [rng.choice([5, 50]) for _ in range(40)]
+        kw = dict(late_policy="drop", lateness=lateness, buffer_limit=2,
+                  drop_policy=policy)
+        kernel = SessionMux(tba, **kw)
+        scalar = SessionMux(tba, compiled=False, **kw)
+        assert (kernel._rows is None) == bool(lateness)
+        try:
+            outcome_k = drive(kernel, events, plan, batch=True)
+        except BackpressureError as exc:
+            outcome_k = repr(exc)
+        try:
+            outcome_s = drive(scalar, events, plan, batch=False)
+        except BackpressureError as exc:
+            outcome_s = repr(exc)
+        assert outcome_k == outcome_s
+        assert kernel.verdicts() == scalar.verdicts()
+        assert kernel.stats() == scalar.stats()
+
+    @needs_compiled
+    def test_rejected_sessions_keep_counting_and_rows_are_reused(self):
+        tba = bounded_gap_tba(1)
+        mux = SessionMux(tba)
+        mux.ingest_batch([("x", "a", 1), ("y", "a", 1), ("x", "a", 9)])
+        dead = mux.monitor("x")
+        assert dead.verdict is StreamVerdict.REJECTED and dead.absorbed
+        frozen = (dead.configs, dead.prev_t)
+        mux.ingest_batch([("x", "a", 10), ("x", "a", 11), ("y", "a", 2)])
+        assert (dead.configs, dead.prev_t) == frozen
+        assert dead.events_ingested == 4 and dead.max_seen == 11
+        row = dead._r
+        report = mux.close("x")
+        assert report.events_ingested == 4
+        assert report.verdict is StreamVerdict.REJECTED
+        assert dead.verdict is StreamVerdict.REJECTED  # the view kept its row
+        mux.ingest_batch([("z", "a", 1)])  # reuses the freed row
+        assert mux.monitor("z")._r == row
+        assert mux.monitor("z").verdict is StreamVerdict.ACCEPTING
+        assert dead.events_ingested == 4
+
+    @pytest.mark.parametrize("fw", [None, 3])
+    def test_plan_kernel_equals_scalar_path(self, fw):
+        from repro.query import Q, QueryPlan
+
+        plan = QueryPlan(
+            {
+                "fast": Q.event("req").then("rsp").within(2).repeat(),
+                "slow": Q.event("req").then("rsp").within(5).repeat(),
+                "hb": Q.event("req").within(6).once(),
+            }
+        )
+        rng = random.Random(58 + (fw or 0))
+        events = fleet_traffic(rng, ["req", "rsp"], sessions=30, events=1500)
+        chunks = [rng.choice([2, 30, 200]) for _ in range(80)]
+        kernel = SessionMux(plan=plan, late_policy="drop", f_window=fw)
+        scalar = SessionMux(plan=plan, late_policy="drop", f_window=fw, compiled=False)
+        # chunk by chunk, every open session's channels agree
+        for i in range(0, 600, 40):
+            drive(kernel, events[i : i + 40], [40], batch=True)
+            drive(scalar, events[i : i + 40], [40], batch=False)
+            assert {n: kernel.monitor(n).query_verdicts() for n in kernel.active} == {
+                n: scalar.monitor(n).query_verdicts() for n in scalar.active
+            }
+        events = events[600:]
+        reports_k, counts_k = observed(kernel, events, chunks, batch=True)
+        reports_s, counts_s = observed(scalar, events, chunks, batch=False)
+        same_story(kernel, scalar, reports_k, reports_s)
+        assert any(r.query_verdicts for r in reports_k)
+        for name in scalar.active:
+            k, s = kernel.monitor(name), scalar.monitor(name)
+            assert k.query_verdicts() == s.query_verdicts()
+            assert k.channel_accept_visits() == s.channel_accept_visits()
+            assert k.absorbed == s.absorbed
+        counts_k = {
+            k: v for k, v in counts_k.items() if k[0] != "stream.compiled_steps"
+        }
+        assert counts_k == counts_s
+
+    def test_numpy_absent_and_compiled_false_agree(self, monkeypatch):
+        tba = bounded_gap_tba(2)
+        rng = random.Random(31)
+        events = fleet_traffic(rng, ["a"])
+        plan = [rng.choice([3, 60, 200]) for _ in range(40)]
+        runs = []
+        for setting in ("default", "compiled=False", "numpy=None"):
+            with monkeypatch.context() as m:
+                if setting == "numpy=None":
+                    m.setattr(compiled_mod, "NUMPY", None)
+                kw = {"compiled": False} if setting == "compiled=False" else {}
+                mux = SessionMux(tba, late_policy="drop", **kw)
+                table = setting == "default" and compilation_enabled()
+                assert (mux._rows is not None) == table
+                reports = drive(mux, events, plan, batch=True)
+                runs.append((reports, mux.verdicts(), mux.stats()))
+        assert runs[0] == runs[1] == runs[2]
+
+    @needs_compiled
+    def test_late_raise_policy_matches_scalar(self):
+        """Under late_policy='raise' the kernel hands the late slice to
+        the scalar path, which raises after the same work."""
+        tba = bounded_gap_tba(2)
+        events = [
+            ("a", "a", 1), ("b", "a", 1), ("a", "a", 3), ("b", "a", 0), ("a", "a", 4)
+        ]
+        kernel = SessionMux(tba, late_policy="raise")
+        scalar = SessionMux(tba, late_policy="raise", compiled=False)
+        with pytest.raises(LateEventError):
+            kernel.ingest_batch(events)
+        for e in [events[0], events[2], events[4], events[1]]:
+            scalar.ingest(*e)
+        with pytest.raises(LateEventError):
+            scalar.ingest(*events[3])
+        assert kernel.verdicts() == scalar.verdicts()
+        for name in ("a", "b"):
+            assert monitor_state(kernel.monitor(name)) == monitor_state(
+                scalar.monitor(name)
+            )

@@ -12,10 +12,11 @@ production surfaces:
   :class:`~repro.stream.compiled.CompiledTBA`).  Sessions are placed by
   consistent hashing (:class:`HashRing` — deterministic, ~K/N movement
   on membership change), events travel as batched binary frames with
-  ACK-window backpressure (:mod:`repro.shard.wire`), and the
-  journal+checkpoint recovery discipline of
-  :class:`~repro.stream.supervisor.MuxSupervisor` is enforced *per
-  shard*: a SIGKILLed worker is respawned and replayed
+  ACK-window backpressure (:mod:`repro.shard.wire`), and each shard
+  keeps the :class:`~repro.stream.supervisor.RecoveryLedger` that
+  :class:`~repro.stream.supervisor.MuxSupervisor` keeps in process
+  (snapshot, journal since, retired sessions), with the pipe as its
+  transport: a SIGKILLed worker is respawned and replayed
   (:meth:`ShardRouter.recover`) or its sessions re-placed on the
   survivors (:meth:`ShardRouter.fail_over`), verdict-for-verdict.
 * **Batch decide scale-out** — ``decide_many(backend="shards")`` and

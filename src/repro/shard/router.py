@@ -14,16 +14,19 @@ mux (see :mod:`repro.shard.worker`).  The pieces:
   on :meth:`flush`; the worker ACKs each frame and the router caps
   un-ACKed frames at ``max_inflight`` (backpressure: a slow shard
   stalls its *own* senders instead of growing an unbounded pipe).
-* **Durability** — the supervisor pattern of
-  :class:`~repro.stream.supervisor.MuxSupervisor`, lifted to per-shard
-  granularity: every event is journaled *at send*, a per-shard
-  :meth:`checkpoint` snapshots the worker's mux and truncates that
-  journal (a session closed or evicted since takes its events out of
-  it, and its copy out of the snapshot on replay), and a SIGKILLed
-  shard (:meth:`crash`, or any detected death) comes back via
-  :meth:`recover` — respawn, restore the snapshot, replay the journal
-  — or via :meth:`fail_over`, which re-places the dead shard's
-  sessions on the survivors instead.
+* **Durability** — each shard handle is a
+  :class:`~repro.stream.supervisor.RecoveryLedger`, the same snapshot,
+  journal and retirement books a
+  :class:`~repro.stream.supervisor.MuxSupervisor` keeps, with the pipe
+  as its transport: every event is journaled *at send*, a per-shard
+  :meth:`checkpoint` (on demand, or every ``checkpoint_every`` flushed
+  events) snapshots the worker's mux and truncates that journal, and
+  sessions closed or evicted since stay retired.  A SIGKILLed shard
+  (:meth:`crash`, or any detected death) comes back via :meth:`recover`
+  — respawn, ``OP_RESTORE`` the ledger's restorable snapshot, then
+  replay its live journal as ``OP_EVENTS`` frames through the normal
+  flush path — or via :meth:`fail_over`, which re-places the dead
+  shard's sessions on the survivors instead.
 * **Elasticity** — :meth:`rebalance` grows or shrinks the pool,
   migrating exactly the sessions whose ring placement changed
   (consistent hashing moves ~K/N of them) through the live-session
@@ -56,6 +59,7 @@ import multiprocessing as mp
 
 from ..engine.batch import CACHE_SIZE
 from ..obs import hooks as _obs
+from ..stream.supervisor import RecoveryLedger
 from .placement import DEFAULT_REPLICAS, HashRing
 from .wire import (
     DEFAULT_CHUNK_EVENTS,
@@ -87,86 +91,26 @@ class ShardError(RuntimeError):
     """A shard died, rejected work, or answered out of protocol."""
 
 
-#: Journal length below which retired sessions' events are not dropped.
-COMPACT_MIN = 4096
+class _Shard(RecoveryLedger):
+    """Parent-side handle for one worker process, and its recovery
+    ledger (which outlives the process: :meth:`ShardRouter.recover`
+    binds a respawned worker to the same handle)."""
 
-
-class _Shard:
-    """Parent-side handle for one worker process."""
-
-    __slots__ = (
-        "id", "proc", "conn", "seq", "inflight", "buffer", "journal",
-        "snapshot", "events_since_checkpoint", "langs", "alive", "errors",
-        "retired", "gone", "tally", "compact_at",
-    )
-
-    def __init__(self, shard_id: str, proc: Any, conn: Any):
+    def __init__(self, shard_id: str, checkpoint_every: Optional[int]):
+        super().__init__(checkpoint_every)
         self.id = shard_id
+
+    def attach(self, proc: Any, conn: Any) -> None:
+        """Bind a freshly forked worker: its transport starts empty."""
         self.proc = proc
         self.conn = conn
         self.seq = 0
         self.inflight = 0            # un-ACKed OP_EVENTS frames
         self.buffer: List[Tuple[str, Any, int]] = []
-        self.journal: List[Tuple[str, Any, int]] = []
-        self.snapshot: Optional[Dict[str, Any]] = None
-        self.events_since_checkpoint = 0
-        self._forget()
         # language key -> acceptor installed in the worker, LRU order
         self.langs: "OrderedDict[int, Any]" = OrderedDict()
         self.alive = True
         self.errors: List[str] = []
-
-    def _forget(self) -> None:
-        """Start the retirement books of a fresh journal."""
-        #: Sessions closed or evicted since the checkpoint, by the
-        #: journal length then: their earlier events are dead.
-        self.retired: Dict[str, int] = {}
-        #: Of those, the ones whose snapshot copy is dead too.
-        self.gone: set = set()
-        #: Mux counters the dead events and snapshot copies carried.
-        self.tally = dict.fromkeys(
-            ("sessions_opened", "sessions_closed", "sessions_evicted"), 0
-        )
-        self.compact_at = COMPACT_MIN
-
-    def retire(self, names: List[str], counter: str) -> None:
-        """Book closed or evicted sessions; drop dead events once the
-        journal has doubled since the last drop (amortized O(1))."""
-        sessions = self.snapshot["sessions"] if self.snapshot else {}
-        for name in names:
-            self.retired[name] = len(self.journal)
-            if name in sessions and name not in self.gone:
-                self.gone.add(name)
-            else:  # an incarnation opened since the checkpoint
-                self.tally["sessions_opened"] += 1
-            self.tally[counter] += 1
-        if len(self.journal) >= self.compact_at:
-            self.journal = self.live_journal()
-            self.retired = {}
-            self.compact_at = max(2 * len(self.journal), COMPACT_MIN)
-
-    def live_journal(self) -> List[Tuple[str, Any, int]]:
-        """The journal without the events of retired sessions."""
-        dead = self.retired
-        return [e for i, e in enumerate(self.journal) if dead.get(e[0], -1) <= i]
-
-    def restorable(self) -> Optional[Dict[str, Any]]:
-        """The snapshot to restore: without retired sessions' copies,
-        counters as the uninterrupted worker has them (None: nothing to
-        restore)."""
-        from ..stream.checkpoint import FORMAT_VERSION
-
-        snap = self.snapshot
-        if snap is None and not any(self.tally.values()):
-            return None
-        if snap is None:
-            counters = dict.fromkeys(("drops", *self.tally), 0)
-            snap = {"version": FORMAT_VERSION, "kind": "mux", "counters": counters}
-            snap["sessions"] = {}
-        tally = self.tally
-        counters = {k: v + tally.get(k, 0) for k, v in snap["counters"].items()}
-        sessions = {n: e for n, e in snap["sessions"].items() if n not in self.gone}
-        return dict(snap, counters=counters, sessions=sessions)
 
 
 class ShardRouter:
@@ -207,6 +151,7 @@ class ShardRouter:
         self.batch_events = batch_events
         self.chunk_events = chunk_events
         self.max_inflight = max_inflight
+        # checked by each shard's RecoveryLedger (None: on demand only)
         self.checkpoint_every = checkpoint_every
         # fork: workers inherit the acceptor/factory closures directly —
         # no pickling of language artifacts, ever.
@@ -229,18 +174,23 @@ class ShardRouter:
         return shard
 
     def _spawn(self, shard_id: str) -> _Shard:
+        shard = _Shard(shard_id, self.checkpoint_every)
+        self._start(shard)
+        self._shards[shard_id] = shard
+        return shard
+
+    def _start(self, shard: _Shard) -> None:
+        """Fork a worker for ``shard``."""
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         proc = self._ctx.Process(
             target=worker_main,
-            args=(child_conn, shard_id, self._mux_factory),
+            args=(child_conn, shard.id, self._mux_factory),
             daemon=True,
-            name=f"repro-shard-{shard_id}",
+            name=f"repro-shard-{shard.id}",
         )
         proc.start()
         child_conn.close()
-        shard = _Shard(shard_id, proc, parent_conn)
-        self._shards[shard_id] = shard
-        return shard
+        shard.attach(proc, parent_conn)
 
     @property
     def n_shards(self) -> int:
@@ -354,10 +304,7 @@ class ShardRouter:
         if h is not None:
             h.gauge("shard.queue_depth", shard.inflight, shard=shard.id)
         shard.events_since_checkpoint += len(events)
-        if (
-            self.checkpoint_every is not None
-            and shard.events_since_checkpoint >= self.checkpoint_every
-        ):
+        if shard.due():
             self._checkpoint_shard(shard)
 
     def _raise_errors(self) -> None:
@@ -457,10 +404,7 @@ class ShardRouter:
     # -- durability --------------------------------------------------------
     def _checkpoint_shard(self, shard: _Shard) -> None:
         self._drain_acks(shard)
-        shard.snapshot = self._request(shard, OP_CHECKPOINT, None)
-        shard.journal = []
-        shard._forget()
-        shard.events_since_checkpoint = 0
+        shard.checkpointed(self._request(shard, OP_CHECKPOINT, None))
         self._count("shard.checkpoints", shard=shard.id)
 
     def checkpoint(self, shard_id: Optional[str] = None) -> None:
@@ -494,29 +438,24 @@ class ShardRouter:
     def recover(self, shard_id: str) -> float:
         """Respawn a dead shard and rebuild its state.
 
-        Restore the last checkpoint into a fresh worker, then replay the
-        journal (every event routed since that checkpoint) in original
-        order, leaving out the sessions closed or evicted since —
-        deterministic for non-raising drop policies, so the recovered
+        Restore the last checkpoint into a fresh worker, then flush the
+        journal (every event routed since that checkpoint) to it in
+        original order, leaving out the sessions closed or evicted since
+        — deterministic for non-raising drop policies, so the recovered
         shard's verdicts and mux counters match an uninterrupted run.
         Returns the recovery latency in seconds (also observed as
         ``shard.recovery_latency``).
         """
-        old = self._shards[shard_id]
+        shard = self._shards[shard_id]
         t0 = time.perf_counter()
-        self._reap(old)
-        shard = self._spawn(shard_id)
-        for book in ("snapshot", "journal", "retired", "gone", "tally", "compact_at"):
-            setattr(shard, book, getattr(old, book))
-        shard.events_since_checkpoint = len(old.journal)
+        self._reap(shard)
+        self._start(shard)
         snapshot = shard.restorable()
         if snapshot is not None:
             self._request(shard, OP_RESTORE, snapshot)
-        for chunk in iter_chunks(shard.live_journal(), self.chunk_events):
-            self._drain_acks(shard, down_to=self.max_inflight - 1)
-            shard.seq += 1
-            send_frame(shard.conn, OP_EVENTS, shard.seq, chunk)
-            shard.inflight += 1
+        shard.buffer = shard.live_journal()
+        shard.events_since_checkpoint = 0
+        self._flush_shard(shard)
         self._drain_acks(shard)
         latency = time.perf_counter() - t0
         h = _obs.HOOKS

@@ -33,7 +33,6 @@ from __future__ import annotations
 import os
 from typing import Any, Callable, Dict, Optional
 
-from ..automata.timed import TimedBuchiAutomaton
 from ..engine.batch import _decide_one, compiled_tba
 from ..engine.strategies import get_strategy
 from ..obs import DeltaDumper, Instrumentation
@@ -83,22 +82,6 @@ class _Worker:
             "shard.worker_frames", "frames served by a shard worker"
         ).labels(shard=shard_id)
 
-    # -- language rebinding for checkpoint restore ------------------------
-    def _lang_kwargs(self) -> Dict[str, Any]:
-        """How :mod:`repro.stream.checkpoint` re-binds this mux's language
-        (a planned mux rebinds its own plan)."""
-        if self.mux is not None and self.mux.plan is not None:
-            return {}
-        if self.mux is None or self.mux.acceptor is None:
-            raise RuntimeError(
-                "this shard hosts no checkpointable mux (decide-only pool "
-                "or monitor_factory-backed sessions)"
-            )
-        lang = self.mux.acceptor
-        if isinstance(lang, TimedBuchiAutomaton):
-            return {"tba": lang}
-        return {"acceptor": lang}
-
     def _live_mux(self):
         if self.mux is None:
             raise RuntimeError(
@@ -129,7 +112,7 @@ class _Worker:
         if self._factory is None:
             raise RuntimeError("decide-only shard cannot restore a mux")
         fresh = self._factory()
-        restore_mux(snapshot, fresh, **self._lang_kwargs())
+        restore_mux(snapshot, fresh)
         self.mux = fresh
         return len(fresh)
 
@@ -141,10 +124,7 @@ class _Worker:
     def on_adopt(self, entries) -> int:
         from ..stream.checkpoint import restore_sessions
 
-        restored = restore_sessions(
-            self._live_mux(), entries, **self._lang_kwargs()
-        )
-        return len(restored)
+        return len(restore_sessions(self._live_mux(), entries))
 
     def on_close(self, payload) -> Any:
         name, horizon = payload

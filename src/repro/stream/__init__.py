@@ -36,7 +36,9 @@ shape needs verdicts over live traffic.  This package is that runtime:
 ``stream.supervisor``
     :class:`MuxSupervisor` — periodic checkpoints plus an event
     journal in front of a live mux, with crash injection and timed
-    failover that loses zero verdicts for accepted events.
+    failover that loses zero verdicts for accepted events; its
+    :class:`~repro.stream.supervisor.RecoveryLedger` is also what each
+    shard of :class:`~repro.shard.ShardRouter` keeps.
 
 Importing this package also registers the ``"online-incremental"``
 strategy with :mod:`repro.engine` (``engine.decide(...,

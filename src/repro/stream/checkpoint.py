@@ -19,7 +19,7 @@ JSON-able dictionaries:
 * :class:`~repro.stream.session.SessionMux` — per-session snapshots
   plus the mux counters.  Session-table rows snapshot through their
   row views; on restore each session is rebuilt as a monitor (over the
-  receiving mux's own plan, or its automaton when none is passed) and
+  receiving mux's own plan, or its own language when none is passed) and
   packed into a row of that mux's table when a row can hold it — a
   reorder buffer, other knobs or another stepping path keep it an
   object.
@@ -248,11 +248,11 @@ def _attach(mux: SessionMux, name: str, entry: Dict[str, Any], **lang: Any) -> N
     nothing buffered), else kept as the monitor object."""
     if name in mux:
         raise ValueError(f"session {name!r} already live on this mux")
-    tab, plan = mux._rows, mux.plan
-    if plan is not None:
-        lang["acceptor"] = plan
-    elif tab is not None and lang["tba"] is None:
-        lang["tba"] = tab.tba
+    tab, own = mux._rows, mux.acceptor
+    if mux.plan is not None:
+        lang["acceptor"] = mux.plan
+    elif lang["tba"] is None and lang["acceptor"] is None:
+        lang["tba" if isinstance(own, TimedBuchiAutomaton) else "acceptor"] = own
     monitor = restore(entry["snapshot"], **lang)
     if (
         tab is not None
@@ -283,8 +283,12 @@ def restore_mux(
     """Repopulate a freshly-constructed mux from :func:`checkpoint_mux`.
 
     ``mux`` must be empty and configured like the one snapshotted (the
-    configuration, like the acceptor, is code and is not serialized; a
-    planned mux rebinds its own plan).
+    configuration, like the acceptor, is code and is not serialized).
+    With neither ``tba`` nor ``acceptor`` given, the mux's own language
+    is bound (a TBA as ``tba``, anything else as ``acceptor``); a
+    planned mux always rebinds its own plan.  Only a
+    ``monitor_factory`` mux, which cannot name its language, needs one
+    passed.
     """
     if len(mux):
         raise ValueError("restore_mux needs an empty mux")

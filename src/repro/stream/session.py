@@ -688,9 +688,10 @@ class SessionMux:
             if self.drop_policy == "drop-new":
                 return monitor.verdict
             monitor.release_oldest()
+        verdict = monitor.ingest(symbol, t)  # may reject t: stamp after
         if session.last_event_time is None or t > session.last_event_time:
             session.last_event_time = t
-        return monitor.ingest(symbol, t)
+        return verdict
 
     def ingest_batch(self, events) -> int:
         """Feed many ``(name, symbol, t)`` events; session-table rows

@@ -196,6 +196,9 @@ def test_router_validates_configuration(tba):
         ShardRouter(mux_kwargs={"lateness": 1})
     with pytest.raises(ValueError):
         ShardRouter(tba, max_inflight=0)
+    for every in (0, -5):
+        with pytest.raises(ValueError, match="checkpoint_every must be >= 1"):
+            ShardRouter(tba, checkpoint_every=every)
 
 
 def test_fail_over_refuses_last_shard(tba):
@@ -228,9 +231,9 @@ def compaction(request, monkeypatch):
     """Run with the default journal compaction, and with retired
     sessions' events dropped at every retirement."""
     if request.param is not None:
-        from repro.shard import router as router_mod
+        from repro.stream import supervisor as ledger_mod
 
-        monkeypatch.setattr(router_mod, "COMPACT_MIN", request.param)
+        monkeypatch.setattr(ledger_mod, "COMPACT_MIN", request.param)
     return request.param is not None
 
 

@@ -162,6 +162,17 @@ class TestLifecycle:
         with pytest.raises(ValueError, match="idle_ttl"):
             mux.evict_idle()
 
+    @pytest.mark.parametrize("lateness", [0, 1], ids=["row", "object"])
+    def test_rejected_timestamp_is_not_an_event_time(self, lateness):
+        # the monitor rejects t=-7, so the session has still seen no event
+        mux = SessionMux(bounded_gap_tba(), lateness=lateness)
+        with pytest.raises(ValueError, match="negative timestamp"):
+            mux.ingest("neg", "a", -7)
+        mux.ingest("s", "a", 3)
+        assert mux.evict_idle(idle_ttl=100) == ["neg"]
+        (report,) = mux.drain_evictions()
+        assert report.decision.evidence["last_event_time"] is None
+
     def test_stats_shape(self):
         mux = buffering_mux(buffer_limit=8)
         mux.ingest("a", "a", 1)

@@ -70,7 +70,7 @@ class TestFailover:
         for name, sym, t in events:
             reference.ingest(name, sym, t)
 
-        supervisor = MuxSupervisor(factory, checkpoint_every=50, tba=tba)
+        supervisor = MuxSupervisor(factory, checkpoint_every=50)
         for k, (name, sym, t) in enumerate(events):
             if k in (137, 291):  # two mid-stream host losses
                 supervisor.crash()
@@ -86,7 +86,7 @@ class TestFailover:
         # serialized reorder buffers) survives, and nothing is invented
         events = traffic(events=150)
         supervisor = MuxSupervisor(
-            factory, checkpoint_every=10_000, journal=False, tba=tba,
+            factory, checkpoint_every=10_000, journal=False,
             auto_recover=False,
         )
         for name, sym, t in events[:100]:
@@ -100,7 +100,7 @@ class TestFailover:
         assert supervisor.verdicts() == at_checkpoint
 
     def test_recovery_latency_is_measured(self, tba, factory):
-        supervisor = MuxSupervisor(factory, checkpoint_every=50, tba=tba)
+        supervisor = MuxSupervisor(factory, checkpoint_every=50)
         for name, sym, t in traffic(events=120):
             supervisor.ingest(name, sym, t)
         supervisor.crash()
@@ -109,7 +109,7 @@ class TestFailover:
         assert supervisor.last_recovery_s == latency
 
     def test_crashed_guard_without_auto_recover(self, tba, factory):
-        supervisor = MuxSupervisor(factory, tba=tba, auto_recover=False)
+        supervisor = MuxSupervisor(factory, auto_recover=False)
         supervisor.crash()
         assert supervisor.crashed
         with pytest.raises(CrashedError, match="recover"):
@@ -158,7 +158,7 @@ class TestMachineBackedSessions:
 
 class TestSupervisorLedger:
     def test_checkpoint_cadence_and_journal_depth(self, tba, factory):
-        supervisor = MuxSupervisor(factory, checkpoint_every=25, tba=tba)
+        supervisor = MuxSupervisor(factory, checkpoint_every=25)
         for name, sym, t in traffic(events=110):
             supervisor.ingest(name, sym, t)
         stats = supervisor.stats()
@@ -170,7 +170,7 @@ class TestSupervisorLedger:
     def test_snapshot_path_persists_json(self, tba, factory, tmp_path):
         path = tmp_path / "mux.json"
         supervisor = MuxSupervisor(
-            factory, checkpoint_every=20, tba=tba, snapshot_path=str(path)
+            factory, checkpoint_every=20, snapshot_path=str(path)
         )
         for name, sym, t in traffic(events=60):
             supervisor.ingest(name, sym, t)
@@ -180,11 +180,11 @@ class TestSupervisorLedger:
 
     def test_validation(self, tba, factory):
         with pytest.raises(ValueError, match="checkpoint_every"):
-            MuxSupervisor(factory, checkpoint_every=0, tba=tba)
+            MuxSupervisor(factory, checkpoint_every=0)
 
     def test_failover_metrics(self, tba, factory):
         with instrumented() as inst:
-            supervisor = MuxSupervisor(factory, checkpoint_every=30, tba=tba)
+            supervisor = MuxSupervisor(factory, checkpoint_every=30)
             for name, sym, t in traffic(events=90):
                 supervisor.ingest(name, sym, t)
             supervisor.crash()
